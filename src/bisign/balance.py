@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId
+from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId
 from .convert import negate_signed
 
 
@@ -125,10 +125,9 @@ def cycle_sign(s: SignedGraph, c: CycleWitness) -> Sign:
 
 
 def _make_witness(s: SignedGraph, edges: tuple[EdgeId, ...]) -> CycleWitness:
-    sign = PLUS
-    for e in edges:
-        sign = sign * s.sigma[e]
-    return CycleWitness(edges, sign)
+    sigma = s.sigma
+    negative = [sigma[e] for e in edges].count(MINUS)
+    return CycleWitness(edges, MINUS if negative % 2 else PLUS)
 
 
 def is_balanced(s: SignedGraph) -> BalanceResult:
@@ -136,6 +135,9 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
     sigma(uv) = mu(u)*mu(v) on every edge, an Unbalanced result carries a
     negative cycle."""
     g = s.graph
+    sigma = s.sigma
+    edges = g.edges
+    incidence = g.incidence
     n = g.vertex_count
     mu: list[Optional[Sign]] = [None] * n
     parent_edge: list[int] = [-1] * n
@@ -150,11 +152,13 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for e, side in g.incidence[u]:
-                pair = g.edges[e]
-                w = pair[1 - side]
+            # mu(w) = mu(u) * sigma(e): mu(u) across a + edge, else its negation
+            same = mu[u]
+            other = MINUS if same is PLUS else PLUS
+            for e, side in incidence[u]:
+                w = edges[e][1 - side]
                 if mu[w] is None:
-                    mu[w] = mu[u] * s.sigma[e]
+                    mu[w] = same if sigma[e] is PLUS else other
                     parent_edge[w] = e
                     parent_vertex[w] = u
                     depth[w] = depth[u] + 1
@@ -165,8 +169,9 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
     for e in range(g.edge_count):
         if in_tree[e]:
             continue
-        u, v = g.edges[e]
-        if s.sigma[e] == mu[u] * mu[v]:  # type: ignore[operator]
+        u, v = edges[e]
+        # sigma(e) = mu(u) * mu(v)
+        if (sigma[e] is PLUS) == (mu[u] is mu[v]):
             continue
         if u == v:
             return BalanceResult(witness=_make_witness(s, (e,)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
@@ -85,13 +86,15 @@ def _fail(lineno: int, line: str, token_index: int, message: str) -> ParseError:
 def _int_token(lineno: int, line: str, tokens: list[str], i: int, what: str) -> int:
     if i >= len(tokens):
         raise _fail(lineno, line, i, f"missing {what}")
-    try:
-        value = int(tokens[i])
-    except ValueError:
-        raise _fail(lineno, line, i, f"{what} must be an integer, got {tokens[i]!r}")
-    if value < 0:
-        raise _fail(lineno, line, i, f"{what} must be nonnegative")
-    return value
+    tok = tokens[i]
+    # ASCII digits only: int() alone would also take a sign, underscores
+    # and non-ASCII digits
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise _fail(lineno, line, i, f"{what} must be a nonnegative integer, got {tok!r}")
 
 
 def _sign_token(lineno: int, line: str, tokens: list[str], i: int) -> Sign:
@@ -408,11 +411,10 @@ def run_command(
     stdin_stream: TextIO = sys.stdin if stdin_text is None else io.StringIO(stdin_text)
     ap = _build_argparser()
     try:
-        ns = ap.parse_args(argv)
+        # argparse prints its usage errors and --help text, then exits
+        with redirect_stdout(out), redirect_stderr(err):
+            ns = ap.parse_args(argv)
     except SystemExit as e:
-        # argparse already printed to the real stderr in library use; keep
-        # a stable message of our own
-        err.write("usage error\n")
         return (0 if e.code == 0 else 2, out.getvalue(), err.getvalue())
 
     try:

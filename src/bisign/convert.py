@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    MINUS,
+    PLUS,
     BidirectedGraph,
     Di2SignedGraph,
     DnSignedGraph,
@@ -32,13 +34,16 @@ def bidirected_to_di2(b: BidirectedGraph) -> Di2SignedGraph:
 
 
 def associated_signed(b: BidirectedGraph) -> SignedGraph:
-    """sigma(e) = -(end sign 0 * end sign 1) on every edge, loops included."""
-    return SignedGraph(b.graph, tuple(-(a * c) for a, c in b.beta))
+    """sigma(e) = -(end sign 0 * end sign 1) on every edge, loops included,
+    that is minus where the two end signs agree and plus where they differ."""
+    sigma = tuple([MINUS if a is c else PLUS for a, c in b.beta])
+    return SignedGraph(b.graph, sigma)
 
 
 def negate_signed(s: SignedGraph) -> SignedGraph:
     """Flip every edge sign.  An involution."""
-    return SignedGraph(s.graph, tuple(-x for x in s.sigma))
+    sigma = tuple([MINUS if x is PLUS else PLUS for x in s.sigma])
+    return SignedGraph(s.graph, sigma)
 
 
 def induced_signed(d: Di2SignedGraph) -> SignedGraph:

@@ -25,8 +25,6 @@ class Sign(Enum):
     MINUS = -1
 
     def __mul__(self, other: "Sign") -> "Sign":
-        # identity checks instead of Enum construction; this runs in the
-        # inner loops of the exhaustive sweeps
         if self is Sign.PLUS:
             return other
         return Sign.PLUS if other is Sign.MINUS else Sign.MINUS
@@ -80,10 +78,6 @@ class Graph:
             raise ValueError(f"unknown edge id {e}")
         return self.edges[e]
 
-    def attachment(self, he: HalfEdge) -> VertexId:
-        """The vertex this half-edge is attached to."""
-        return self.endpoints(he.edge_id)[he.side]
-
     def half_edges(self):
         for e in range(len(self.edges)):
             yield HalfEdge(e, 0)
@@ -136,11 +130,6 @@ class BidirectedGraph:
         if len(self.beta) != self.graph.edge_count:
             raise ValueError("beta must cover every edge")
 
-    def end_sign(self, he: HalfEdge) -> Sign:
-        if not 0 <= he.edge_id < len(self.beta):
-            raise ValueError(f"unknown edge id {he.edge_id}")
-        return self.beta[he.edge_id][he.side]
-
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -152,11 +141,6 @@ class SignedGraph:
     def __post_init__(self):
         if len(self.sigma) != self.graph.edge_count:
             raise ValueError("sigma must cover every edge")
-
-    def edge_sign(self, e: EdgeId) -> Sign:
-        if not 0 <= e < len(self.sigma):
-            raise ValueError(f"unknown edge id {e}")
-        return self.sigma[e]
 
 
 @dataclass(frozen=True)

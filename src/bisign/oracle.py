@@ -2,8 +2,10 @@
 
 Deliberately independent of the fast paths in ``balance`` and ``uniform``:
 cycles are found by edge-subset sweep, antibalance by checking every cycle's
-parity, and uniformizability by trying every reorientation subset.  Only
-the plain data types from ``core`` (plus the cycle record) are shared.
+parity, and uniformizability by trying every reorientation subset, all 2^m
+of them at once as the bits of one integer, answering with the lowest
+subset that works.  Only the plain data types from ``core`` (plus the cycle
+record) are shared.
 """
 
 from __future__ import annotations
@@ -161,36 +163,44 @@ def antibalanced_by_cycles(s: SignedGraph) -> bool:
 def uniformizable_by_enumeration(
     b: BidirectedGraph, max_edges: int = 20
 ) -> Optional[frozenset[EdgeId]]:
-    """Try every reorientation subset; return the first one that makes every
-    vertex a source, sink, or isolated, or None.
+    """Try every reorientation subset; return the lowest one that makes
+    every vertex a source, sink, or isolated, or None.
 
-    Subsets are swept in increasing-bitmask order (bit i = edge i), so the
-    empty set comes first.
+    Subset k (edge e reoriented iff bit e of k is set) is bit k of a 2^m-bit
+    integer; ``flipped[e]`` is the set of subsets reorienting edge e.  Each
+    vertex ANDs, per half-edge, ``flipped[e]`` or its complement into the
+    subsets leaving it all + and all -; the vertices' unions are ANDed, and
+    the lowest set bit is the first subset in increasing-bitmask order (the
+    empty set first).  ``max_edges`` bounds the m * 2^m bits this takes.
     """
     g = b.graph
     m = g.edge_count
     if m > max_edges:
         raise ValueError(f"edge count {m} exceeds enumeration bound {max_edges}")
-    incidence = g.incidence
+    full = (1 << (1 << m)) - 1
+    # flipped[e] repeats 2^e clear bits then 2^e set bits; each is the
+    # one above it XORed with itself shifted down by 2^e
+    flipped = [0] * m
+    bits = full
+    for e in reversed(range(m)):
+        bits ^= bits >> (1 << e)
+        flipped[e] = bits
     beta = b.beta
-    for mask in range(1 << m):
-        ok = True
-        for hes in incidence:
-            first: Optional[Sign] = None
-            for e, side in hes:
-                sign = beta[e][side]
-                if mask >> e & 1:
-                    sign = -sign
-                if first is None:
-                    first = sign
-                elif sign is not first:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return frozenset(e for e in range(m) if mask >> e & 1)
-    return None
+    ok = full
+    for hes in g.incidence:
+        plus = minus = full
+        for e, side in hes:
+            if beta[e][side] is PLUS:
+                plus &= ~flipped[e]
+                minus &= flipped[e]
+            else:
+                plus &= flipped[e]
+                minus &= ~flipped[e]
+        ok &= plus | minus
+        if not ok:
+            return None
+    mask = (ok & -ok).bit_length() - 1
+    return frozenset(e for e in range(m) if mask >> e & 1)
 
 
 class SplitMix64:

@@ -61,6 +61,12 @@ def test_parse_dn():
         ("signed 2 2\n0 1 +\n", 2),
         ("dn 0 2 1\n0 1\n", 1),
         ("signed 2 1\n0 1 +\nextra\n", 3),
+        # integers are ASCII digits only, whatever int() would accept
+        ("signed 1_0 0\n", 1),
+        ("signed 2 1\n+1 0 +\n", 2),
+        ("signed \uff12 0\n", 1),  # fullwidth 2
+        ("signed 2 1\n0 \u0661 +\n", 2),  # Arabic-Indic 1
+        pytest.param("signed 2 1\n0 " + "9" * 5000 + " +\n", 2, id="int-digit-limit"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -142,6 +148,19 @@ def test_convert_bad_direction():
 def test_unknown_subcommand_exits_2():
     code, _, _ = run_command(["frobnicate"])
     assert code == 2
+
+
+def test_usage_error_message_is_returned():
+    code, out, err = run_command(["convert"], "signed 0 0\n")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: bisign convert")
+    assert "the following arguments are required: --to" in err
+
+
+def test_unknown_flag_message_is_returned():
+    code, out, err = run_command(["check-balance", "--bogus"], "signed 0 0\n")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --bogus" in err
 
 
 def test_parse_failure_exits_2():

@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
 from bisign import (
     MINUS,
     PLUS,
+    BidirectedGraph,
     SignedGraph,
     build_graph,
     cycle_sign,
+    is_uniform,
     negate_signed,
+    reorient,
 )
 from bisign.balance import closed_walk_vertices
 from bisign.oracle import (
@@ -93,10 +98,93 @@ def test_enumeration_counts():
 
 def test_uniformizable_enumeration_prefers_empty_set():
     g = build_graph(2, [(0, 1)])
-    from bisign import BidirectedGraph
-
     b = BidirectedGraph(g, ((PLUS, PLUS),))
     assert uniformizable_by_enumeration(b) == frozenset()
+
+
+def _first_uniform_subset(b):
+    """Plain reference: walk the reorientation subsets in increasing-bitmask
+    order and return the first that leaves no vertex mixed."""
+    m = b.graph.edge_count
+    for mask in range(1 << m):
+        ends = (
+            {-b.beta[e][side] if mask >> e & 1 else b.beta[e][side] for e, side in hes}
+            for hes in b.graph.incidence
+        )
+        if all(len(signs) <= 1 for signs in ends):
+            return frozenset(e for e in range(m) if mask >> e & 1)
+    return None
+
+
+SIGN_PAIRS = [(a, c) for a in (PLUS, MINUS) for c in (PLUS, MINUS)]
+
+
+def test_uniformizable_enumeration_matches_reference_exhaustive():
+    checked = 0
+    for g in enumerate_multigraphs(GraphEnumeration(3, 4)):
+        for beta in itertools.product(SIGN_PAIRS, repeat=g.edge_count):
+            b = BidirectedGraph(g, beta)
+            assert uniformizable_by_enumeration(b) == _first_uniform_subset(b)
+            checked += 1
+    assert checked == 41_132
+
+
+def test_uniformizable_enumeration_matches_reference_random():
+    found = 0
+    for seed in range(400):
+        m = seed % 13
+        n = 1 + seed % 7
+        b = random_bidirected(n, m, True, True, seed)
+        want = _first_uniform_subset(b)
+        assert uniformizable_by_enumeration(b) == want
+        found += want is not None
+    assert 0 < found < 400
+
+
+def test_uniformizable_enumeration_edge_cases():
+    # no edges, with and without vertices: the empty set works
+    for n in (0, 3):
+        empty = BidirectedGraph(build_graph(n, []), ())
+        assert uniformizable_by_enumeration(empty) == frozenset()
+    # an isolated vertex beside a mixed path needs the middle fixed
+    path = build_graph(4, [(0, 1), (1, 2)])
+    b = BidirectedGraph(path, ((MINUS, PLUS), (MINUS, PLUS)))
+    assert uniformizable_by_enumeration(b) == frozenset({0})
+    # a loop with equal ends is fine as is; with unequal ends it never is
+    loop = build_graph(1, [(0, 0)])
+    same = BidirectedGraph(loop, ((MINUS, MINUS),))
+    assert uniformizable_by_enumeration(same) == frozenset()
+    assert uniformizable_by_enumeration(BidirectedGraph(loop, ((PLUS, MINUS),))) is None
+    # two loops of opposite sign at one vertex: reorient the lower one
+    loops = build_graph(1, [(0, 0), (0, 0)])
+    two = BidirectedGraph(loops, ((MINUS, MINUS), (PLUS, PLUS)))
+    assert uniformizable_by_enumeration(two) == frozenset({0})
+
+
+def test_uniformizable_enumeration_edge_bound():
+    b = random_bidirected(3, 6, True, True, 1)
+    with pytest.raises(ValueError, match="exceeds enumeration bound 5"):
+        uniformizable_by_enumeration(b, max_edges=5)
+    with pytest.raises(ValueError):
+        uniformizable_by_enumeration(random_bidirected(5, 21, True, True, 1))
+
+
+def test_uniformizable_enumeration_twenty_edges():
+    # an even 20-cycle, uniform as built, then three edges reoriented; the
+    # two uniform reorientations are {1, 3, 19} and its complement, and the
+    # complement is the lower bitmask
+    g = build_graph(20, [(i, (i + 1) % 20) for i in range(20)])
+    uniform = BidirectedGraph(
+        g, tuple((PLUS, MINUS) if i % 2 == 0 else (MINUS, PLUS) for i in range(20))
+    )
+    assert is_uniform(uniform)
+    b = reorient(uniform, {1, 3, 19})
+    assert uniformizable_by_enumeration(b) == frozenset(range(20)) - {1, 3, 19}
+    # flipping one end sign makes the cycle's associated sign product wrong
+    # for its length, so no reorientation helps
+    (a, c), rest = b.beta[0], b.beta[1:]
+    broken = BidirectedGraph(g, ((a, -c),) + rest)
+    assert uniformizable_by_enumeration(broken) is None
 
 
 def test_random_bidirected_deterministic():
