@@ -204,10 +204,10 @@ def is_antibalanced(s: SignedGraph) -> BalanceResult:
     condition, with its sign taken in s.
     """
     r = is_balanced(negate_signed(s))
-    if r.holds:
+    # negating every edge keeps an even cycle's sign and flips an odd one's
+    if r.witness is None or len(r.witness.edges) % 2 == 0:
         return r
-    assert r.witness is not None
-    return BalanceResult(witness=_make_witness(s, r.witness.edges))
+    return BalanceResult(witness=CycleWitness(r.witness.edges, -r.witness.sign))
 
 
 def signature_to_bipartition(mu: VertexSignature) -> Bipartition:

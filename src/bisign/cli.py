@@ -21,7 +21,7 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 
 from .core import (
     BidirectedGraph,
@@ -145,9 +145,13 @@ def _parse_one(lines: _Lines) -> Document:
     if len(tokens) > i + 2:
         raise _fail(lineno, header, i + 2, "trailing tokens after header")
 
-    signs_per_edge = {"signed": 1, "bidirected": 2, "di2": 2, "dn": n}[kind]
+    # edge lines hold two endpoints, then the sign tokens up to token ``end``
+    end = 2 + {"signed": 1, "bidirected": 2, "di2": 2, "dn": n}[kind]
+    # sign tokens already validated in this document, mapped to the stored
+    # label (a bare Sign for signed); edges with equal tokens share one label
+    validated: dict[tuple[str, ...], Union[Sign, tuple[Sign, ...]]] = {}
     pairs: list[tuple[int, int]] = []
-    sign_rows: list[tuple[Sign, ...]] = []
+    rows: list = []
     for _ in range(ecount):
         lineno, line = lines.next()
         tokens = line.split()
@@ -157,29 +161,29 @@ def _parse_one(lines: _Lines) -> Document:
             raise _fail(lineno, line, 0, f"vertex {u} out of range (< {vcount})")
         if v >= vcount:
             raise _fail(lineno, line, 1, f"vertex {v} out of range (< {vcount})")
-        row = tuple(
-            _sign_token(lineno, line, tokens, 2 + k) for k in range(signs_per_edge)
-        )
-        if len(tokens) > 2 + signs_per_edge:
-            raise _fail(lineno, line, 2 + signs_per_edge, "trailing tokens on edge line")
+        key = tuple(tokens[2:])
+        label = validated.get(key)
+        if label is None:
+            signs = tuple(_sign_token(lineno, line, tokens, i) for i in range(2, end))
+            if len(tokens) > end:
+                raise _fail(lineno, line, end, "trailing tokens on edge line")
+            label = validated[key] = signs[0] if kind == "signed" else signs
         pairs.append((u, v))
-        sign_rows.append(row)
+        rows.append(label)
 
     g = build_graph(vcount, pairs)
-    payload: Payload
-    if kind == "signed":
-        payload = SignedGraph(g, tuple(r[0] for r in sign_rows))
-    elif kind == "bidirected":
-        payload = BidirectedGraph(g, tuple((r[0], r[1]) for r in sign_rows))
-    elif kind == "di2":
-        payload = Di2SignedGraph(g, tuple((r[0], r[1]) for r in sign_rows))
-    else:
-        payload = DnSignedGraph(n, g, tuple(sign_rows))
-    return Document(kind, payload)
+    if kind == "dn":
+        return Document(kind, DnSignedGraph(n, g, tuple(rows)))
+    overlay = {"signed": SignedGraph, "bidirected": BidirectedGraph, "di2": Di2SignedGraph}
+    return Document(kind, overlay[kind](g, tuple(rows)))
 
 
 def parse(text: str) -> Document:
-    """Parse exactly one document; strict about every token."""
+    """Parse exactly one document; strict about every token.
+
+    Each distinct tuple of sign tokens is validated once per document; later
+    edges with the same tokens reuse the validated signs.
+    """
     lines = _Lines(text)
     doc = _parse_one(lines)
     if not lines.exhausted():
@@ -197,6 +201,13 @@ def parse_documents(text: str) -> list[Document]:
     return docs
 
 
+_SIGN_TEXT = {Sign.PLUS: "+", Sign.MINUS: "-"}
+
+
+def _signs_text(signs: Iterable[Sign]) -> str:
+    return " ".join(map(_SIGN_TEXT.__getitem__, signs))
+
+
 def serialize(d: Document) -> str:
     """Canonical text: LF newlines, single spaces, edges in id order."""
     p = d.payload
@@ -206,15 +217,14 @@ def serialize(d: Document) -> str:
         header = f"dn {p.n} {g.vertex_count} {g.edge_count}"
     else:
         header = f"{d.kind} {g.vertex_count} {g.edge_count}"
-    rows: list[str] = [header]
-    for e, (u, v) in enumerate(g.edges):
-        if isinstance(p, SignedGraph):
-            signs: tuple[Sign, ...] = (p.sigma[e],)
-        elif isinstance(p, BidirectedGraph):
-            signs = p.beta[e]
-        else:
-            signs = p.labels[e]
-        rows.append(" ".join([str(u), str(v), *(str(s) for s in signs)]))
+    if isinstance(p, SignedGraph):
+        labels: tuple = p.sigma
+        text: dict = _SIGN_TEXT
+    else:
+        labels = p.beta if isinstance(p, BidirectedGraph) else p.labels
+        text = {t: _signs_text(t) for t in set(labels)}
+    rows = [header]
+    rows += [f"{u} {v} {text[t]}" for (u, v), t in zip(g.edges, labels)]
     return "\n".join(rows) + "\n"
 
 
@@ -258,7 +268,7 @@ def _print_balance_certificate(r: BalanceResult, positive_word: str, out: TextIO
     if r.holds:
         assert r.signature is not None
         out.write(positive_word + "\n")
-        out.write("signature " + " ".join(str(s) for s in r.signature.mu) + "\n")
+        out.write("signature " + _signs_text(r.signature.mu) + "\n")
         bp = signature_to_bipartition(r.signature)
         out.write(("bipartition + " + " ".join(map(str, sorted(bp.v1)))).rstrip() + "\n")
         out.write(("bipartition - " + " ".join(map(str, sorted(bp.v2)))).rstrip() + "\n")
@@ -355,7 +365,7 @@ def _run_uniformize(doc: Document, out: TextIO) -> int:
         out.write(
             ("reorient " + " ".join(map(str, sorted(r.reorient_set)))).rstrip() + "\n"
         )
-        out.write("signature " + " ".join(str(s) for s in r.signature.mu) + "\n")
+        out.write("signature " + _signs_text(r.signature.mu) + "\n")
         out.write(serialize(Document("bidirected", r.uniform)))
         return 0
     out.write("not-uniformizable\n")

@@ -24,6 +24,9 @@ class Sign(Enum):
     PLUS = 1
     MINUS = -1
 
+    # members are identity-compared singletons; Enum.__hash__ is a Python-level call
+    __hash__ = object.__hash__
+
     def __mul__(self, other: "Sign") -> "Sign":
         if self is Sign.PLUS:
             return other
@@ -127,7 +130,7 @@ class BidirectedGraph:
     beta: tuple[tuple[Sign, Sign], ...]
 
     def __post_init__(self):
-        if len(self.beta) != self.graph.edge_count:
+        if len(self.beta) != len(self.graph.edges):
             raise ValueError("beta must cover every edge")
 
 
@@ -139,7 +142,7 @@ class SignedGraph:
     sigma: tuple[Sign, ...]
 
     def __post_init__(self):
-        if len(self.sigma) != self.graph.edge_count:
+        if len(self.sigma) != len(self.graph.edges):
             raise ValueError("sigma must cover every edge")
 
 
@@ -152,7 +155,7 @@ class Di2SignedGraph:
     labels: tuple[tuple[Sign, Sign], ...]
 
     def __post_init__(self):
-        if len(self.labels) != self.graph.edge_count:
+        if len(self.labels) != len(self.graph.edges):
             raise ValueError("labels must cover every edge")
 
 
@@ -168,7 +171,7 @@ class DnSignedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if len(self.labels) != self.graph.edge_count:
+        if len(self.labels) != len(self.graph.edges):
             raise ValueError("labels must cover every edge")
         for e, t in enumerate(self.labels):
             if len(t) != self.n:

@@ -65,17 +65,24 @@ def is_uniform(b: BidirectedGraph) -> bool:
     )
 
 
+# the four end-sign pairs, shared by every graph built here, and each
+# pair's negation
+_PAIRS = {(a, c): (a, c) for a in (PLUS, MINUS) for c in (PLUS, MINUS)}
+_NEGATED = {p: _PAIRS[-p[0], -p[1]] for p in _PAIRS}
+
+
 def reorient(b: BidirectedGraph, edges: Iterable[EdgeId]) -> BidirectedGraph:
     """Negate both end signs of each listed edge.  Applying the same set
     twice restores the input."""
     flip = set(edges)
+    m = len(b.graph.edges)
     for e in flip:
-        if not 0 <= e < b.graph.edge_count:
+        if not 0 <= e < m:
             raise ValueError(f"unknown edge id {e}")
-    beta = tuple(
-        (-a, -c) if e in flip else (a, c) for e, (a, c) in enumerate(b.beta)
-    )
-    return BidirectedGraph(b.graph, beta)
+    beta = list(b.beta)
+    for e in flip:
+        beta[e] = _NEGATED[beta[e]]
+    return BidirectedGraph(b.graph, tuple(beta))
 
 
 def uniformize(b: BidirectedGraph) -> UniformizationResult:
@@ -90,15 +97,15 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     if not r.holds:
         return UniformizationResult(witness=r.witness)
     assert r.signature is not None
-    mu = r.signature
-    target = tuple((mu[u], mu[v]) for u, v in b.graph.edges)
+    mu = r.signature.mu
+    target = tuple([_PAIRS[mu[u], mu[v]] for u, v in b.graph.edges])
     # sigma equality forces the two graphs to differ on both ends or neither,
     # so comparing side 0 alone picks out whole-edge reorientations
     flips = frozenset(
-        e for e in range(b.graph.edge_count) if b.beta[e][0] is not target[e][0]
+        [e for e, (old, new) in enumerate(zip(b.beta, target)) if old[0] is not new[0]]
     )
     uniform = BidirectedGraph(b.graph, target)
     assert reorient(b, flips).beta == target
     return UniformizationResult(
-        reorient_set=flips, uniform=uniform, signature=mu
+        reorient_set=flips, uniform=uniform, signature=r.signature
     )

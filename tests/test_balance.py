@@ -144,6 +144,10 @@ def test_agrees_with_oracle_small_exhaustive():
         assert ra.holds == antibalanced_by_cycles(s)
         if ra.holds:
             assert verify_signature(s, ra.signature, "antibalance")
+        else:
+            # signed in s, and an even cycle is negative or an odd one positive
+            assert ra.witness.sign is cycle_sign(s, ra.witness)
+            assert (ra.witness.sign is PLUS) == (ra.witness.length % 2 == 1)
 
 
 @given(signed_graphs(max_vertices=5, max_edges=6))

@@ -50,29 +50,46 @@ def test_parse_dn():
     assert doc.payload.labels == ((PLUS, MINUS, MINUS),)
 
 
+def _bad(text, line, column, id=None):
+    # unnamed cases get the id "<text>-<line>"
+    return pytest.param(text, line, column, id=id or f"{text}-{line}")
+
+
+# line 2 is valid, so its signs are already validated when line 3 repeats them
+WARM = "bidirected 3 2\n0 1 + -\n"
+
+
 @pytest.mark.parametrize(
-    "text,line",
+    "text,line,column",
     [
-        ("frob 2 1\n0 1 +\n", 1),
-        ("signed x 1\n0 1 +\n", 1),
-        ("signed 2 1\n0 5 +\n", 2),
-        ("signed 2 1\n0 1 *\n", 2),
-        ("signed 2 1\n0 1 + +\n", 2),
-        ("signed 2 2\n0 1 +\n", 2),
-        ("dn 0 2 1\n0 1\n", 1),
-        ("signed 2 1\n0 1 +\nextra\n", 3),
+        _bad("frob 2 1\n0 1 +\n", 1, 1),
+        _bad("signed x 1\n0 1 +\n", 1, 8),
+        _bad("signed 2 1\n0 5 +\n", 2, 3),
+        _bad("signed 2 1\n0 1 *\n", 2, 5),
+        _bad("signed 2 1\n0 1 + +\n", 2, 7),
+        _bad("signed 2 2\n0 1 +\n", 2, 1),
+        _bad("dn 0 2 1\n0 1\n", 1, 4),
+        _bad("signed 2 1\n0 1 +\nextra\n", 3, 1),
         # integers are ASCII digits only, whatever int() would accept
-        ("signed 1_0 0\n", 1),
-        ("signed 2 1\n+1 0 +\n", 2),
-        ("signed \uff12 0\n", 1),  # fullwidth 2
-        ("signed 2 1\n0 \u0661 +\n", 2),  # Arabic-Indic 1
-        pytest.param("signed 2 1\n0 " + "9" * 5000 + " +\n", 2, id="int-digit-limit"),
+        _bad("signed 1_0 0\n", 1, 8),
+        _bad("signed 2 1\n+1 0 +\n", 2, 1),
+        _bad("signed \uff12 0\n", 1, 8),  # fullwidth 2
+        _bad("signed 2 1\n0 \u0661 +\n", 2, 3),  # Arabic-Indic 1
+        _bad("signed 2 1\n0 " + "9" * 5000 + " +\n", 2, 3, id="int-digit-limit"),
+        _bad(WARM + "1_0 2 + -\n", 3, 1, id="warm-underscore"),
+        _bad(WARM + "+1 2 + -\n", 3, 1, id="warm-plus-digit"),
+        _bad(WARM + "1 \uff12 + -\n", 3, 3, id="warm-fullwidth"),
+        _bad(WARM + "1 " + "9" * 5000 + " + -\n", 3, 3, id="warm-int-digit-limit"),
+        _bad(WARM + "1 3 + -\n", 3, 3, id="warm-out-of-range"),
+        _bad(WARM + "1 2 + - +\n", 3, 9, id="warm-trailing-sign"),
+        _bad(WARM + "1 2 + *\n", 3, 7, id="warm-star"),
+        _bad(WARM + "5 2 * -\n", 3, 1, id="warm-endpoint-before-sign"),
     ],
 )
-def test_parse_errors_carry_line_numbers(text, line):
+def test_parse_errors_carry_line_numbers(text, line, column):
     with pytest.raises(ParseError) as e:
         parse(text)
-    assert e.value.line == line
+    assert (e.value.line, e.value.column) == (line, column)
 
 
 def test_serialize_canonical():

@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 from bisign import (
     MINUS,
     PLUS,
+    BidirectedGraph,
     DnSignedGraph,
     Di2SignedGraph,
     HalfEdge,
     Sign,
     SignedGraph,
+    VertexRole,
     build_graph,
     incident_half_edges,
     oriented_label,
+    vertex_role,
 )
 
 from _strategies import dn_graphs, graphs
@@ -37,6 +40,25 @@ def test_sign_chars():
     assert Sign.from_char("-") is MINUS
     with pytest.raises(ValueError):
         Sign.from_char("x")
+
+
+def test_sign_hashing():
+    assert len({PLUS, MINUS, PLUS}) == 2
+    assert Sign(1) is PLUS and Sign(-1) is MINUS
+    text = {PLUS: "+", MINUS: "-"}
+    assert text[Sign.from_char("-")] == "-"
+    pairs = {(a, c): a * c for a in (PLUS, MINUS) for c in (PLUS, MINUS)}
+    assert len(pairs) == 4
+    assert pairs[(MINUS, MINUS)] is PLUS and pairs[(PLUS, MINUS)] is MINUS
+
+
+def test_sign_sets_classify_vertex_roles():
+    # 0 -> 1 -> 2 with a +/+ loop at 2: 0 is a source, 1 is mixed, 2 a sink
+    g = build_graph(3, [(0, 1), (1, 2), (2, 2)])
+    b = BidirectedGraph(g, ((MINUS, PLUS), (MINUS, PLUS), (PLUS, PLUS)))
+    assert vertex_role(b, 0) is VertexRole.SOURCE
+    assert vertex_role(b, 1) is VertexRole.MIXED
+    assert vertex_role(b, 2) is VertexRole.SINK
 
 
 def test_build_triangle():
