@@ -1,8 +1,8 @@
 """Bidirected, signed and directionally multisigned multigraphs.
 
 Immutable multigraph types with half-edge addressing, the maps between the
-sign overlays, certificate-producing balance / antibalance /
-uniformization checks, brute-force testing oracles, and a line-format CLI.
+sign overlays, certificate-producing balance / antibalance / uniformization
+checks, brute-force testing oracles, seeded random graphs, and a line-format CLI.
 """
 
 from .core import (
@@ -18,7 +18,6 @@ from .core import (
     SignedGraph,
     VertexId,
     build_graph,
-    incident_half_edges,
     oriented_label,
 )
 from .convert import (
@@ -64,7 +63,6 @@ __all__ = [
     "Di2SignedGraph",
     "DnSignedGraph",
     "build_graph",
-    "incident_half_edges",
     "oriented_label",
     "DnDecomposition",
     "di2_to_bidirected",

@@ -1,23 +1,28 @@
 """Command-line front end: parsing, serialization, checks, DOT export.
 
-File format, one record per line, whitespace-separated:
+File format, one record per line; tokens are separated by spaces and tabs,
+lines end in LF, CRLF or CR, and any other whitespace is a parse error:
 
     <kind> <vertex_count> <edge_count>        header (kind: signed,
                                               bidirected, di2, dn; a dn
-                                              header is  dn <n> <V> <E>)
+                                              header is  dn <n> <V> <E>;
+                                              V <= MAX_VERTICES)
     <u> <v> <signs...>                        one line per edge; 1 sign for
                                               signed, 2 for bidirected/di2,
                                               n for dn
 
-Verdict subcommands print a certificate block (``signature`` /
-``bipartition`` / ``witness`` / ``reorient`` lines) and exit 0 when the
-property holds, 1 when it fails, 2 on usage or parse errors.
+Each subcommand is one row of ``COMMANDS``: its help text, the document
+kinds it takes and its handler.  Verdict subcommands print a certificate
+block (``signature`` / ``bipartition`` / ``witness`` / ``reorient`` lines)
+and exit 0 when the property holds, 1 when it fails, 2 on usage or parse
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -42,22 +47,26 @@ from .convert import (
 )
 from .balance import (
     BalanceResult,
+    CycleWitness,
     is_antibalanced,
     is_balanced,
     signature_to_bipartition,
 )
 from .uniform import uniformize
-from .oracle import random_bidirected
-
-Payload = Union[SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph]
+from .generate import random_bidirected
 
 KINDS = ("signed", "bidirected", "di2", "dn")
+
+# Largest vertex count a header may declare: the count alone sizes per-vertex
+# arrays (incidence, BFS labels, DOT lines), so it is bounded apart from the
+# input's length, at 20 times the vertices of the benchmark's graph.
+MAX_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
 class Document:
     kind: str
-    payload: Payload
+    payload: Union[SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph]
 
 
 class ParseError(ValueError):
@@ -70,16 +79,8 @@ class ParseError(ValueError):
 def _fail(lineno: int, line: str, token_index: int, message: str) -> ParseError:
     # column of the offending token (1-based); past-the-end tokens point
     # at the end of the line
-    tokens = line.split()
-    col = len(line) + 1
-    if token_index < len(tokens):
-        pos = 0
-        for i, tok in enumerate(tokens):
-            pos = line.index(tok, pos)
-            if i == token_index:
-                col = pos + 1
-                break
-            pos += len(tok)
+    starts = [m.start() for m in re.finditer(r"\S+", line)]
+    col = starts[token_index] + 1 if token_index < len(starts) else len(line) + 1
     return ParseError(lineno, col, message)
 
 
@@ -106,10 +107,24 @@ def _sign_token(lineno: int, line: str, tokens: list[str], i: int) -> Sign:
         raise _fail(lineno, line, i, f"sign must be + or -, got {tokens[i]!r}")
 
 
+# whitespace that str.split and str.splitlines would take as a separator
+# but the grammar does not
+_OTHER_SPACE = re.compile(r"[^\S \t\r\n]")
+
+
 class _Lines:
     """Cursor over non-blank input lines, tracking 1-based line numbers."""
 
     def __init__(self, text: str):
+        # ASCII text is checked by a few C-level scans; a regex over the
+        # whole text would cost more than the rest of a large parse
+        if not text.isascii() or any(c in text for c in "\v\f\x1c\x1d\x1e\x1f"):
+            bad = _OTHER_SPACE.search(text)
+            if bad:
+                # nothing before the first match breaks lines but CR and LF
+                rows = (text[: bad.start()] + "^").splitlines()
+                message = f"separator {bad.group()!r} is not space, tab, CR or LF"
+                raise ParseError(len(rows), len(rows[-1]), message)
         self.items = [
             (i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()
         ]
@@ -119,9 +134,8 @@ class _Lines:
         if self.pos >= len(self.items):
             last = self.items[-1][0] if self.items else 1
             raise ParseError(last, 1, "unexpected end of input")
-        item = self.items[self.pos]
         self.pos += 1
-        return item
+        return self.items[self.pos - 1]
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.items)
@@ -141,6 +155,8 @@ def _parse_one(lines: _Lines) -> Document:
             raise _fail(lineno, header, i, "tuple length n must be >= 1")
         i += 1
     vcount = _int_token(lineno, header, tokens, i, "vertex count")
+    if vcount > MAX_VERTICES:
+        raise _fail(lineno, header, i, f"vertex count {vcount} exceeds the limit {MAX_VERTICES}")
     ecount = _int_token(lineno, header, tokens, i + 1, "edge count")
     if len(tokens) > i + 2:
         raise _fail(lineno, header, i + 2, "trailing tokens after header")
@@ -212,20 +228,19 @@ def serialize(d: Document) -> str:
     """Canonical text: LF newlines, single spaces, edges in id order."""
     p = d.payload
     g = p.graph
-    if d.kind == "dn":
-        assert isinstance(p, DnSignedGraph)
-        header = f"dn {p.n} {g.vertex_count} {g.edge_count}"
-    else:
-        header = f"{d.kind} {g.vertex_count} {g.edge_count}"
+    n = f" {p.n}" if d.kind == "dn" else ""
     if isinstance(p, SignedGraph):
         labels: tuple = p.sigma
         text: dict = _SIGN_TEXT
     else:
         labels = p.beta if isinstance(p, BidirectedGraph) else p.labels
         text = {t: _signs_text(t) for t in set(labels)}
-    rows = [header]
+    rows = [f"{d.kind}{n} {g.vertex_count} {g.edge_count}"]
     rows += [f"{u} {v} {text[t]}" for (u, v), t in zip(g.edges, labels)]
     return "\n".join(rows) + "\n"
+
+
+_ARROW = {Sign.PLUS: "normal", Sign.MINUS: "inv"}
 
 
 def export_dot(d: Document) -> str:
@@ -238,47 +253,43 @@ def export_dot(d: Document) -> str:
     """
     p = d.payload
     g = p.graph
+    graph, arrow = "digraph", "->"
     if isinstance(p, SignedGraph):
-        out = ["graph {"]
-        out += [f"  {v};" for v in range(g.vertex_count)]
-        for e, (u, v) in enumerate(g.edges):
-            out.append(f'  {u} -- {v} [label="{p.sigma[e]}"];')
-    elif isinstance(p, (BidirectedGraph, Di2SignedGraph)):
-        pairs = p.beta if isinstance(p, BidirectedGraph) else p.labels
-        out = ["digraph {"]
-        out += [f"  {v};" for v in range(g.vertex_count)]
-        for e, (u, v) in enumerate(g.edges):
-            tail = "normal" if pairs[e][0] is Sign.PLUS else "inv"
-            head = "normal" if pairs[e][1] is Sign.PLUS else "inv"
-            out.append(
-                f"  {u} -> {v} [dir=both arrowtail={tail} arrowhead={head}];"
-            )
+        graph, arrow = "graph", "--"
+        attrs = [f'label="{s}"' for s in p.sigma]
+    elif isinstance(p, DnSignedGraph):
+        attrs = [f'label="{"".join(map(str, t))}"' for t in p.labels]
     else:
-        assert isinstance(p, DnSignedGraph)
-        out = ["digraph {"]
-        out += [f"  {v};" for v in range(g.vertex_count)]
-        for e, (u, v) in enumerate(g.edges):
-            label = "".join(str(s) for s in p.labels[e])
-            out.append(f'  {u} -> {v} [label="{label}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+        pairs = p.beta if isinstance(p, BidirectedGraph) else p.labels
+        attrs = [f"dir=both arrowtail={_ARROW[a]} arrowhead={_ARROW[b]}" for a, b in pairs]
+    out = [graph + " {"] + [f"  {v};" for v in range(g.vertex_count)]
+    out += [f"  {u} {arrow} {v} [{a}];" for (u, v), a in zip(g.edges, attrs)]
+    return "\n".join(out) + "\n}\n"
 
 
-def _print_balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> int:
-    if r.holds:
-        assert r.signature is not None
-        out.write(positive_word + "\n")
-        out.write("signature " + _signs_text(r.signature.mu) + "\n")
-        bp = signature_to_bipartition(r.signature)
-        out.write(("bipartition + " + " ".join(map(str, sorted(bp.v1)))).rstrip() + "\n")
-        out.write(("bipartition - " + " ".join(map(str, sorted(bp.v2)))).rstrip() + "\n")
-        return 0
-    assert r.witness is not None
-    out.write("not-" + positive_word + "\n")
-    out.write(
-        f"witness {r.witness.sign} " + " ".join(map(str, r.witness.edges)) + "\n"
-    )
+def _write_failure(out: TextIO, positive_word: str, witness: CycleWitness) -> int:
+    out.write(f"not-{positive_word}\nwitness {witness.sign} ")
+    out.write(" ".join(map(str, witness.edges)) + "\n")
     return 1
+
+
+def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> int:
+    if not r.holds:
+        return _write_failure(out, positive_word, r.witness)
+    out.write(positive_word + "\n")
+    out.write("signature " + _signs_text(r.signature.mu) + "\n")
+    bp = signature_to_bipartition(r.signature)
+    out.write(("bipartition + " + " ".join(map(str, sorted(bp.v1)))).rstrip() + "\n")
+    out.write(("bipartition - " + " ".join(map(str, sorted(bp.v2)))).rstrip() + "\n")
+    return 0
+
+
+def _run_balance(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
+    return _balance_certificate(is_balanced(doc.payload), "balanced", out)
+
+
+def _run_antibalance(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
+    return _balance_certificate(is_antibalanced(doc.payload), "antibalanced", out)
 
 
 def _read_input(path: Optional[str], stdin: TextIO) -> str:
@@ -288,95 +299,37 @@ def _read_input(path: Optional[str], stdin: TextIO) -> str:
         return fh.read()
 
 
-def _expect_kind(doc: Document, kinds: tuple[str, ...], command: str) -> None:
-    if doc.kind not in kinds:
-        raise ValueError(
-            f"{command} needs a {' or '.join(kinds)} document, got {doc.kind}"
-        )
+# (source kind, --to) -> (result kind, map); the targets in order of first
+# appearance are the --to choices
+_CONVERSIONS = {
+    ("bidirected", "signed"): ("signed", associated_signed),
+    ("di2", "signed"): ("signed", lambda p: associated_signed(di2_to_bidirected(p))),
+    ("di2", "bidirected"): ("bidirected", di2_to_bidirected),
+    ("bidirected", "di2"): ("di2", bidirected_to_di2),
+    ("di2", "induced"): ("signed", induced_signed),
+}
 
 
-def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="bisign",
-        description="signed / bidirected / directionally multisigned graph tools",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def with_input(p):
-        p.add_argument("file", nargs="?", default=None, help="input file (default stdin)")
-        return p
-
-    conv = with_input(sub.add_parser("convert", help="convert between kinds"))
-    conv.add_argument(
-        "--to", required=True, choices=("signed", "bidirected", "di2", "induced")
-    )
-    with_input(sub.add_parser("check-balance", help="balance check on a signed graph"))
-    with_input(
-        sub.add_parser("check-antibalance", help="antibalance check on a signed graph")
-    )
-    with_input(
-        sub.add_parser("uniformize", help="uniformize a bidirected graph up to reorientation")
-    )
-    with_input(
-        sub.add_parser("decompose", help="split a dn document into bidirections and center")
-    )
-    with_input(sub.add_parser("compose", help="reassemble a dn document"))
-    with_input(sub.add_parser("export-dot", help="DOT output"))
-    rnd = sub.add_parser("random", help="seeded random bidirected graph")
-    rnd.add_argument("--vertices", type=int, required=True)
-    rnd.add_argument("--edges", type=int, required=True)
-    rnd.add_argument("--loops", action="store_true")
-    rnd.add_argument("--parallel", action="store_true")
-    rnd.add_argument("--seed", type=int, required=True)
-    return ap
-
-
-def _run_convert(doc: Document, target: str, out: TextIO) -> int:
-    if target == "signed":
-        if doc.kind == "bidirected":
-            result = Document("signed", associated_signed(doc.payload))
-        elif doc.kind == "di2":
-            result = Document(
-                "signed", associated_signed(di2_to_bidirected(doc.payload))
-            )
-        else:
-            raise ValueError(f"cannot convert {doc.kind} to signed")
-    elif target == "induced":
-        if doc.kind != "di2":
-            raise ValueError(f"cannot convert {doc.kind} to induced")
-        result = Document("signed", induced_signed(doc.payload))
-    elif target == "bidirected":
-        if doc.kind != "di2":
-            raise ValueError(f"cannot convert {doc.kind} to bidirected")
-        result = Document("bidirected", di2_to_bidirected(doc.payload))
-    else:  # di2
-        if doc.kind != "bidirected":
-            raise ValueError(f"cannot convert {doc.kind} to di2")
-        result = Document("di2", bidirected_to_di2(doc.payload))
-    out.write(serialize(result))
+def _run_convert(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
+    if (doc.kind, ns.to) not in _CONVERSIONS:
+        raise ValueError(f"cannot convert {doc.kind} to {ns.to}")
+    kind, convert = _CONVERSIONS[doc.kind, ns.to]
+    out.write(serialize(Document(kind, convert(doc.payload))))
     return 0
 
 
-def _run_uniformize(doc: Document, out: TextIO) -> int:
-    _expect_kind(doc, ("bidirected",), "uniformize")
+def _run_uniformize(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
     r = uniformize(doc.payload)
-    if r.holds:
-        out.write("uniformizable\n")
-        out.write(
-            ("reorient " + " ".join(map(str, sorted(r.reorient_set)))).rstrip() + "\n"
-        )
-        out.write("signature " + _signs_text(r.signature.mu) + "\n")
-        out.write(serialize(Document("bidirected", r.uniform)))
-        return 0
-    out.write("not-uniformizable\n")
-    out.write(
-        f"witness {r.witness.sign} " + " ".join(map(str, r.witness.edges)) + "\n"
-    )
-    return 1
+    if not r.holds:
+        return _write_failure(out, "uniformizable", r.witness)
+    out.write("uniformizable\n")
+    out.write(("reorient " + " ".join(map(str, sorted(r.reorient_set)))).rstrip() + "\n")
+    out.write("signature " + _signs_text(r.signature.mu) + "\n")
+    out.write(serialize(Document("bidirected", r.uniform)))
+    return 0
 
 
-def _run_decompose(doc: Document, out: TextIO) -> int:
-    _expect_kind(doc, ("dn",), "decompose")
+def _run_decompose(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
     dec = decompose_dn(doc.payload)
     for b in dec.bidirections:
         out.write(serialize(Document("bidirected", b)))
@@ -385,8 +338,13 @@ def _run_decompose(doc: Document, out: TextIO) -> int:
     return 0
 
 
-def _run_compose(text: str, out: TextIO) -> int:
-    docs = parse_documents(text)
+def _run_export_dot(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
+    out.write(export_dot(doc))
+    return 0
+
+
+def _run_compose(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
+    docs = parse_documents(_read_input(ns.file, stdin))
     if not docs:
         raise ValueError("compose needs at least one document")
     bidirections = []
@@ -404,6 +362,51 @@ def _run_compose(text: str, out: TextIO) -> int:
     d = compose_dn(DnDecomposition(tuple(bidirections), center))
     out.write(serialize(Document("dn", d)))
     return 0
+
+
+def _run_random(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
+    b = random_bidirected(ns.vertices, ns.edges, ns.loops, ns.parallel, ns.seed)
+    out.write(serialize(Document("bidirected", b)))
+    return 0
+
+
+# subcommand -> (help, document kinds it takes, handler).  The handler gets the
+# parsed document, the arguments and stdout; with kinds None (compose, random),
+# the arguments, stdin and stdout.  Handlers look up the library functions they
+# call in this module at call time, so a wrapper installed here sees the call.
+COMMANDS = {
+    "convert": ("convert between kinds", KINDS, _run_convert),
+    "check-balance": ("balance check on a signed graph", ("signed",), _run_balance),
+    "check-antibalance": ("antibalance check on a signed graph", ("signed",), _run_antibalance),
+    "uniformize": (
+        "uniformize a bidirected graph up to reorientation", ("bidirected",), _run_uniformize
+    ),
+    "decompose": ("split a dn document into bidirections and center", ("dn",), _run_decompose),
+    "compose": ("reassemble a dn document", None, _run_compose),
+    "export-dot": ("DOT output", KINDS, _run_export_dot),
+    "random": ("seeded random bidirected graph", None, _run_random),
+}
+
+
+def _build_argparser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="bisign",
+        description="signed / bidirected / directionally multisigned graph tools",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "random":
+            p.add_argument("file", nargs="?", default=None, help="input file (default stdin)")
+    targets = dict.fromkeys(target for _, target in _CONVERSIONS)
+    sub.choices["convert"].add_argument("--to", required=True, choices=tuple(targets))
+    rnd = sub.choices["random"]
+    rnd.add_argument("--vertices", type=int, required=True)
+    rnd.add_argument("--edges", type=int, required=True)
+    rnd.add_argument("--loops", action="store_true")
+    rnd.add_argument("--parallel", action="store_true")
+    rnd.add_argument("--seed", type=int, required=True)
+    return ap
 
 
 def run_command(
@@ -427,40 +430,17 @@ def run_command(
     except SystemExit as e:
         return (0 if e.code == 0 else 2, out.getvalue(), err.getvalue())
 
+    _, kinds, handler = COMMANDS[ns.command]
     try:
-        if ns.command == "random":
-            b = random_bidirected(
-                ns.vertices, ns.edges, ns.loops, ns.parallel, ns.seed
-            )
-            out.write(serialize(Document("bidirected", b)))
-            code = 0
-        elif ns.command == "compose":
-            code = _run_compose(_read_input(ns.file, stdin_stream), out)
+        if kinds is None:
+            code = handler(ns, stdin_stream, out)
         else:
-            text = _read_input(ns.file, stdin_stream)
-            if ns.command == "convert":
-                code = _run_convert(parse(text), ns.to, out)
-            elif ns.command == "check-balance":
-                doc = parse(text)
-                _expect_kind(doc, ("signed",), "check-balance")
-                code = _print_balance_certificate(
-                    is_balanced(doc.payload), "balanced", out
+            doc = parse(_read_input(ns.file, stdin_stream))
+            if doc.kind not in kinds:
+                raise ValueError(
+                    f"{ns.command} needs a {' or '.join(kinds)} document, got {doc.kind}"
                 )
-            elif ns.command == "check-antibalance":
-                doc = parse(text)
-                _expect_kind(doc, ("signed",), "check-antibalance")
-                code = _print_balance_certificate(
-                    is_antibalanced(doc.payload), "antibalanced", out
-                )
-            elif ns.command == "uniformize":
-                code = _run_uniformize(parse(text), out)
-            elif ns.command == "decompose":
-                code = _run_decompose(parse(text), out)
-            elif ns.command == "export-dot":
-                out.write(export_dot(parse(text)))
-                code = 0
-            else:  # pragma: no cover - argparse rejects unknown commands
-                raise ValueError(f"unknown command {ns.command}")
+            code = handler(doc, ns, out)
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2, out.getvalue(), err.getvalue()

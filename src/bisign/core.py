@@ -81,11 +81,6 @@ class Graph:
             raise ValueError(f"unknown edge id {e}")
         return self.edges[e]
 
-    def half_edges(self):
-        for e in range(len(self.edges)):
-            yield HalfEdge(e, 0)
-            yield HalfEdge(e, 1)
-
     @cached_property
     def incidence(self) -> tuple[tuple[HalfEdge, ...], ...]:
         """Per-vertex incident half-edges, ordered by (edge id, side)."""
@@ -109,13 +104,6 @@ def build_graph(
                 f"{vertex_count} vertices"
             )
     return Graph(vertex_count, tuple((u, v) for u, v in endpoint_pairs))
-
-
-def incident_half_edges(g: Graph, v: VertexId) -> list[HalfEdge]:
-    """All half-edges attached to v; a loop at v contributes both of its ends."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    return list(g.incidence[v])
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,12 @@ from bisign import (
 )
 from bisign.core import Di2SignedGraph
 from bisign.cli import parse, run_command, serialize
+from bisign.generate import SplitMix64, random_bidirected
 from bisign.oracle import (
     GraphEnumeration,
-    SplitMix64,
     antibalanced_by_cycles,
     balanced_by_cycles,
     enumerate_multigraphs,
-    random_bidirected,
     uniformizable_by_enumeration,
 )
 

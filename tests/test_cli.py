@@ -1,4 +1,7 @@
 import itertools
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,16 +20,18 @@ from bisign import (
 )
 from bisign.balance import CycleWitness
 from bisign.cli import (
+    MAX_VERTICES,
     Document,
     ParseError,
     export_dot,
+    main,
     parse,
     parse_documents,
     run_command,
     serialize,
 )
 from bisign.core import Sign
-from bisign.oracle import random_bidirected
+from bisign.generate import random_bidirected
 
 from _strategies import bidirected_graphs, dn_graphs, signed_graphs
 
@@ -84,12 +89,35 @@ WARM = "bidirected 3 2\n0 1 + -\n"
         _bad(WARM + "1 2 + - +\n", 3, 9, id="warm-trailing-sign"),
         _bad(WARM + "1 2 + *\n", 3, 7, id="warm-star"),
         _bad(WARM + "5 2 * -\n", 3, 1, id="warm-endpoint-before-sign"),
+        # whitespace other than space, tab, CR and LF separates nothing
+        _bad("signed 2 1\n0\u00a01 +\n", 2, 2, id="nbsp"),
+        _bad("signed 2 1\n0 1\u3000+\n", 2, 4, id="ideographic-space"),
+        _bad("signed 2 1\u20280 1 +\n", 1, 11, id="line-separator"),
+        _bad("signed 2 1\u00850 1 +\n", 1, 11, id="next-line"),
+        _bad("signed\v2 1\n0 1 +\n", 1, 7, id="vt"),
+        _bad("signed 2 1\n0 1 +\f", 2, 6, id="ff"),
+        _bad("signed 2 1\r\n0 1\x1c+\r\n", 2, 4, id="x1c-after-crlf"),
+        _bad("signed 2 1\r0 1\x1d+\n", 2, 4, id="x1d-after-cr"),
+        _bad("signed 2 1\n\n0 1\x1e+\n", 3, 4, id="x1e-after-blank"),
+        _bad("signed 2 1\n0\x1f1 +\n", 2, 2, id="x1f"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, column):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert (e.value.line, e.value.column) == (line, column)
+
+
+def test_vertex_count_limit():
+    # an edge-free document allocates nothing per vertex while parsing
+    doc = parse(f"bidirected {MAX_VERTICES} 0\n")
+    assert doc.payload.graph.vertex_count == MAX_VERTICES
+    for text, column in ((f"bidirected {MAX_VERTICES + 1} 0\n", 12),
+                         (f"dn 2 {MAX_VERTICES + 1} 0\n", 6),
+                         ("signed 4000000000 0\n", 8)):
+        with pytest.raises(ParseError, match="exceeds the limit") as e:
+            parse(text)
+        assert (e.value.line, e.value.column) == (1, column)
 
 
 def test_serialize_canonical():
@@ -157,9 +185,44 @@ def test_convert_chain_di2():
     assert code == 0 and out == "signed 2 1\n0 1 -\n"
 
 
+# one small document of each kind
+DOCS = {
+    "signed": "signed 2 1\n0 1 +\n",
+    "bidirected": "bidirected 2 1\n0 1 + -\n",
+    "di2": "di2 2 1\n0 1 + -\n",
+    "dn": "dn 3 2 1\n0 1 + - -\n",
+}
+CONVERSIONS = {("bidirected", "signed"), ("di2", "signed"), ("di2", "bidirected"),
+               ("bidirected", "di2"), ("di2", "induced")}
+
+
 def test_convert_bad_direction():
-    code, _, err = run_command(["convert", "--to", "di2"], "signed 2 1\n0 1 +\n")
-    assert code == 2 and "error" in err
+    for kind, text in DOCS.items():
+        for target in ("signed", "bidirected", "di2", "induced"):
+            code, out, err = run_command(["convert", "--to", target], text)
+            if (kind, target) in CONVERSIONS:
+                assert code == 0 and err == ""
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"error: cannot convert {kind} to {target}\n"
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [
+        ("check-balance", "signed"),
+        ("check-antibalance", "signed"),
+        ("uniformize", "bidirected"),
+        ("decompose", "dn"),
+    ],
+)
+def test_verdict_commands_reject_other_kinds(command, kind):
+    for other, text in DOCS.items():
+        if other == kind:
+            continue
+        code, out, err = run_command([command], text)
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} needs a {kind} document, got {other}\n"
 
 
 def test_unknown_subcommand_exits_2():
@@ -170,8 +233,10 @@ def test_unknown_subcommand_exits_2():
 def test_usage_error_message_is_returned():
     code, out, err = run_command(["convert"], "signed 0 0\n")
     assert code == 2 and out == ""
-    assert err.startswith("usage: bisign convert")
-    assert "the following arguments are required: --to" in err
+    assert err == (
+        "usage: bisign convert [-h] --to {signed,bidirected,di2,induced} [file]\n"
+        "bisign convert: error: the following arguments are required: --to\n"
+    )
 
 
 def test_unknown_flag_message_is_returned():
@@ -271,3 +336,45 @@ def test_export_dot_dn_label():
 def test_export_dot_deterministic():
     text = "bidirected 3 3\n0 1 - +\n1 2 - +\n2 0 - +\n"
     assert export_dot(parse(text)) == export_dot(parse(text))
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_input_from_path_and_dash():
+    src = GOLDEN / "oneneg_triangle.signed"
+    want = (GOLDEN / "oneneg_triangle.check-balance.out").read_text()
+    assert run_command(["check-balance", str(src)]) == (1, want, "")
+    assert run_command(["check-balance", "-"], src.read_text()) == (1, want, "")
+
+
+def test_missing_input_file(tmp_path):
+    missing = tmp_path / "missing.signed"
+    code, out, err = run_command(["check-balance", str(missing)], "signed 0 0\n")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_main_exits_with_the_command_code(capsys, tmp_path):
+    src = GOLDEN / "oneneg_triangle.signed"
+    with pytest.raises(SystemExit) as e:
+        main(["check-balance", str(src)])
+    assert e.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / "oneneg_triangle.check-balance.out").read_text()
+    assert captured.err == ""
+    with pytest.raises(SystemExit) as e:
+        main(["export-dot", str(tmp_path / "missing")])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno 2] ")
+
+
+def test_cli_does_not_load_the_oracle():
+    src = pathlib.Path(sys.modules["bisign.cli"].__file__).parents[1]
+    code = "import sys; import bisign.cli; print('bisign.oracle' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"

@@ -13,7 +13,6 @@ from bisign import (
     SignedGraph,
     VertexRole,
     build_graph,
-    incident_half_edges,
     oriented_label,
     vertex_role,
 )
@@ -70,8 +69,8 @@ def test_build_triangle():
 
 def test_build_loop_has_two_half_edges():
     g = build_graph(1, [(0, 0)])
-    hes = incident_half_edges(g, 0)
-    assert hes == [HalfEdge(0, 0), HalfEdge(0, 1)]
+    hes = g.incidence[0]
+    assert hes == (HalfEdge(0, 0), HalfEdge(0, 1))
     assert hes[0] != hes[1]
 
 
@@ -90,11 +89,9 @@ def test_build_rejects_out_of_range():
 
 def test_incident_half_edges_cases():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert len(incident_half_edges(g, 0)) == 2
+    assert len(g.incidence[0]) == 2
     g2 = build_graph(2, [])
-    assert incident_half_edges(g2, 1) == []
-    with pytest.raises(ValueError):
-        incident_half_edges(g, 3)
+    assert g2.incidence[1] == ()
 
 
 def test_oriented_label_reversal():
@@ -138,7 +135,7 @@ def test_reversal_is_involution(d, e_pick):
 
 @given(graphs())
 def test_handshake(g):
-    total = sum(len(incident_half_edges(g, v)) for v in range(g.vertex_count))
+    total = sum(len(hes) for hes in g.incidence)
     assert total == 2 * g.edge_count
 
 

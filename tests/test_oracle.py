@@ -15,14 +15,13 @@ from bisign import (
     reorient,
 )
 from bisign.balance import closed_walk_vertices
+from bisign.generate import SplitMix64, random_bidirected
 from bisign.oracle import (
     GraphEnumeration,
-    SplitMix64,
     antibalanced_by_cycles,
     balanced_by_cycles,
     enumerate_cycles,
     enumerate_multigraphs,
-    random_bidirected,
     uniformizable_by_enumeration,
 )
 

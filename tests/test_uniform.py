@@ -118,7 +118,7 @@ def test_uniformize_directed_4_cycle():
 
 
 def test_oracle_bound():
-    from bisign.oracle import random_bidirected
+    from bisign.generate import random_bidirected
 
     b = random_bidirected(5, 21, True, True, 3)
     with pytest.raises(ValueError):
