@@ -13,7 +13,6 @@ from .core import (
     DnSignedGraph,
     EdgeId,
     Graph,
-    HalfEdge,
     Sign,
     SignedGraph,
     VertexId,
@@ -55,7 +54,6 @@ __all__ = [
     "MINUS",
     "Sign",
     "Graph",
-    "HalfEdge",
     "VertexId",
     "EdgeId",
     "BidirectedGraph",

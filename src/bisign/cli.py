@@ -6,16 +6,19 @@ lines end in LF, CRLF or CR, and any other whitespace is a parse error:
     <kind> <vertex_count> <edge_count>        header (kind: signed,
                                               bidirected, di2, dn; a dn
                                               header is  dn <n> <V> <E>;
-                                              V <= MAX_VERTICES)
+                                              V <= MAX_VERTICES,
+                                              n <= MAX_TUPLE_LENGTH)
     <u> <v> <signs...>                        one line per edge; 1 sign for
                                               signed, 2 for bidirected/di2,
                                               n for dn
 
-Each subcommand is one row of ``COMMANDS``: its help text, the document
-kinds it takes and its handler.  Verdict subcommands print a certificate
-block (``signature`` / ``bipartition`` / ``witness`` / ``reorient`` lines)
-and exit 0 when the property holds, 1 when it fails, 2 on usage or parse
-errors.
+A document parses to its overlay object (``SignedGraph``, ``BidirectedGraph``,
+``Di2SignedGraph`` or ``DnSignedGraph``), and ``OVERLAYS`` names the kind of
+each overlay type.  Each subcommand is one row of ``COMMANDS``: its help text,
+the document kinds it takes and its handler.  Verdict subcommands print a
+certificate block (``signature`` / ``bipartition`` / ``witness`` /
+``reorient`` lines) and exit 0 when the property holds, 1 when it fails, 2 on
+usage or parse errors.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
 from .core import (
@@ -55,18 +57,27 @@ from .balance import (
 from .uniform import uniformize
 from .generate import random_bidirected
 
-KINDS = ("signed", "bidirected", "di2", "dn")
+Overlay = Union[SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph]
+
+# document kind (the header's first token) -> overlay type, and back
+OVERLAYS = {
+    "signed": SignedGraph,
+    "bidirected": BidirectedGraph,
+    "di2": Di2SignedGraph,
+    "dn": DnSignedGraph,
+}
+_KIND = {overlay: kind for kind, overlay in OVERLAYS.items()}
+KINDS = tuple(OVERLAYS)
 
 # Largest vertex count a header may declare: the count alone sizes per-vertex
 # arrays (incidence, BFS labels, DOT lines), so it is bounded apart from the
 # input's length, at 20 times the vertices of the benchmark's graph.
 MAX_VERTICES = 1_000_000
 
-
-@dataclass(frozen=True)
-class Document:
-    kind: str
-    payload: Union[SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph]
+# Largest tuple length n a dn header may declare: n alone decides how many
+# documents ``decompose`` prints (n // 2 bidirections), even for a graph with
+# no edges, so it is bounded apart from the input's length.
+MAX_TUPLE_LENGTH = 1_000
 
 
 class ParseError(ValueError):
@@ -141,11 +152,11 @@ class _Lines:
         return self.pos >= len(self.items)
 
 
-def _parse_one(lines: _Lines) -> Document:
+def _parse_one(lines: _Lines) -> Overlay:
     lineno, header = lines.next()
     tokens = header.split()
     kind = tokens[0]
-    if kind not in KINDS:
+    if kind not in OVERLAYS:
         raise _fail(lineno, header, 0, f"unknown kind {kind!r}")
     i = 1
     n = 0
@@ -153,6 +164,9 @@ def _parse_one(lines: _Lines) -> Document:
         n = _int_token(lineno, header, tokens, i, "tuple length n")
         if n < 1:
             raise _fail(lineno, header, i, "tuple length n must be >= 1")
+        if n > MAX_TUPLE_LENGTH:
+            message = f"tuple length {n} exceeds the limit {MAX_TUPLE_LENGTH}"
+            raise _fail(lineno, header, i, message)
         i += 1
     vcount = _int_token(lineno, header, tokens, i, "vertex count")
     if vcount > MAX_VERTICES:
@@ -189,13 +203,12 @@ def _parse_one(lines: _Lines) -> Document:
 
     g = build_graph(vcount, pairs)
     if kind == "dn":
-        return Document(kind, DnSignedGraph(n, g, tuple(rows)))
-    overlay = {"signed": SignedGraph, "bidirected": BidirectedGraph, "di2": Di2SignedGraph}
-    return Document(kind, overlay[kind](g, tuple(rows)))
+        return DnSignedGraph(n, g, tuple(rows))
+    return OVERLAYS[kind](g, tuple(rows))
 
 
-def parse(text: str) -> Document:
-    """Parse exactly one document; strict about every token.
+def parse(text: str) -> Overlay:
+    """Parse exactly one document into its overlay; strict about every token.
 
     Each distinct tuple of sign tokens is validated once per document; later
     edges with the same tokens reuse the validated signs.
@@ -208,8 +221,8 @@ def parse(text: str) -> Document:
     return doc
 
 
-def parse_documents(text: str) -> list[Document]:
-    """Parse a stream of consecutive documents (used by ``compose``)."""
+def parse_documents(text: str) -> list[Overlay]:
+    """Parse a stream of consecutive documents into overlays (for ``compose``)."""
     lines = _Lines(text)
     docs = []
     while not lines.exhausted():
@@ -224,18 +237,19 @@ def _signs_text(signs: Iterable[Sign]) -> str:
     return " ".join(map(_SIGN_TEXT.__getitem__, signs))
 
 
-def serialize(d: Document) -> str:
-    """Canonical text: LF newlines, single spaces, edges in id order."""
-    p = d.payload
-    g = p.graph
-    n = f" {p.n}" if d.kind == "dn" else ""
-    if isinstance(p, SignedGraph):
-        labels: tuple = p.sigma
+def serialize(x: Overlay) -> str:
+    """Canonical text of an overlay, headed by its kind: LF newlines, single
+    spaces, edges in id order."""
+    g = x.graph
+    kind = _KIND[type(x)]
+    n = f" {x.n}" if kind == "dn" else ""
+    if isinstance(x, SignedGraph):
+        labels: tuple = x.sigma
         text: dict = _SIGN_TEXT
     else:
-        labels = p.beta if isinstance(p, BidirectedGraph) else p.labels
+        labels = x.beta if isinstance(x, BidirectedGraph) else x.labels
         text = {t: _signs_text(t) for t in set(labels)}
-    rows = [f"{d.kind}{n} {g.vertex_count} {g.edge_count}"]
+    rows = [f"{kind}{n} {g.vertex_count} {g.edge_count}"]
     rows += [f"{u} {v} {text[t]}" for (u, v), t in zip(g.edges, labels)]
     return "\n".join(rows) + "\n"
 
@@ -243,7 +257,7 @@ def serialize(d: Document) -> str:
 _ARROW = {Sign.PLUS: "normal", Sign.MINUS: "inv"}
 
 
-def export_dot(d: Document) -> str:
+def export_dot(x: Overlay) -> str:
     """DOT output suitable for third-party renderers.
 
     Bidirected (and di2) edges draw each end's sign as an arrow: + is an
@@ -251,16 +265,15 @@ def export_dot(d: Document) -> str:
     arrowhead.  Signed edges carry their sign as a label; dn edges carry the
     whole tuple, read along the drawn direction.
     """
-    p = d.payload
-    g = p.graph
+    g = x.graph
     graph, arrow = "digraph", "->"
-    if isinstance(p, SignedGraph):
+    if isinstance(x, SignedGraph):
         graph, arrow = "graph", "--"
-        attrs = [f'label="{s}"' for s in p.sigma]
-    elif isinstance(p, DnSignedGraph):
-        attrs = [f'label="{"".join(map(str, t))}"' for t in p.labels]
+        attrs = [f'label="{s}"' for s in x.sigma]
+    elif isinstance(x, DnSignedGraph):
+        attrs = [f'label="{"".join(map(str, t))}"' for t in x.labels]
     else:
-        pairs = p.beta if isinstance(p, BidirectedGraph) else p.labels
+        pairs = x.beta if isinstance(x, BidirectedGraph) else x.labels
         attrs = [f"dir=both arrowtail={_ARROW[a]} arrowhead={_ARROW[b]}" for a, b in pairs]
     out = [graph + " {"] + [f"  {v};" for v in range(g.vertex_count)]
     out += [f"  {u} {arrow} {v} [{a}];" for (u, v), a in zip(g.edges, attrs)]
@@ -284,12 +297,12 @@ def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> i
     return 0
 
 
-def _run_balance(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
-    return _balance_certificate(is_balanced(doc.payload), "balanced", out)
+def _run_balance(s: SignedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+    return _balance_certificate(is_balanced(s), "balanced", out)
 
 
-def _run_antibalance(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
-    return _balance_certificate(is_antibalanced(doc.payload), "antibalanced", out)
+def _run_antibalance(s: SignedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+    return _balance_certificate(is_antibalanced(s), "antibalanced", out)
 
 
 def _read_input(path: Optional[str], stdin: TextIO) -> str:
@@ -299,47 +312,47 @@ def _read_input(path: Optional[str], stdin: TextIO) -> str:
         return fh.read()
 
 
-# (source kind, --to) -> (result kind, map); the targets in order of first
-# appearance are the --to choices
+# (source kind, --to) -> map; the targets in order of first appearance are
+# the --to choices
 _CONVERSIONS = {
-    ("bidirected", "signed"): ("signed", associated_signed),
-    ("di2", "signed"): ("signed", lambda p: associated_signed(di2_to_bidirected(p))),
-    ("di2", "bidirected"): ("bidirected", di2_to_bidirected),
-    ("bidirected", "di2"): ("di2", bidirected_to_di2),
-    ("di2", "induced"): ("signed", induced_signed),
+    ("bidirected", "signed"): associated_signed,
+    ("di2", "signed"): lambda d: associated_signed(di2_to_bidirected(d)),
+    ("di2", "bidirected"): di2_to_bidirected,
+    ("bidirected", "di2"): bidirected_to_di2,
+    ("di2", "induced"): induced_signed,
 }
 
 
-def _run_convert(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
-    if (doc.kind, ns.to) not in _CONVERSIONS:
-        raise ValueError(f"cannot convert {doc.kind} to {ns.to}")
-    kind, convert = _CONVERSIONS[doc.kind, ns.to]
-    out.write(serialize(Document(kind, convert(doc.payload))))
+def _run_convert(x: Overlay, ns: argparse.Namespace, out: TextIO) -> int:
+    kind = _KIND[type(x)]
+    if (kind, ns.to) not in _CONVERSIONS:
+        raise ValueError(f"cannot convert {kind} to {ns.to}")
+    out.write(serialize(_CONVERSIONS[kind, ns.to](x)))
     return 0
 
 
-def _run_uniformize(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
-    r = uniformize(doc.payload)
+def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+    r = uniformize(b)
     if not r.holds:
         return _write_failure(out, "uniformizable", r.witness)
     out.write("uniformizable\n")
     out.write(("reorient " + " ".join(map(str, sorted(r.reorient_set)))).rstrip() + "\n")
     out.write("signature " + _signs_text(r.signature.mu) + "\n")
-    out.write(serialize(Document("bidirected", r.uniform)))
+    out.write(serialize(r.uniform))
     return 0
 
 
-def _run_decompose(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
-    dec = decompose_dn(doc.payload)
+def _run_decompose(d: DnSignedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+    dec = decompose_dn(d)
     for b in dec.bidirections:
-        out.write(serialize(Document("bidirected", b)))
+        out.write(serialize(b))
     if dec.center is not None:
-        out.write(serialize(Document("signed", dec.center)))
+        out.write(serialize(dec.center))
     return 0
 
 
-def _run_export_dot(doc: Document, ns: argparse.Namespace, out: TextIO) -> int:
-    out.write(export_dot(doc))
+def _run_export_dot(x: Overlay, ns: argparse.Namespace, out: TextIO) -> int:
+    out.write(export_dot(x))
     return 0
 
 
@@ -347,31 +360,23 @@ def _run_compose(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     docs = parse_documents(_read_input(ns.file, stdin))
     if not docs:
         raise ValueError("compose needs at least one document")
-    bidirections = []
-    center = None
-    for i, doc in enumerate(docs):
-        if doc.kind == "bidirected" and center is None:
-            bidirections.append(doc.payload)
-        elif doc.kind == "signed" and center is None and i == len(docs) - 1:
-            center = doc.payload
-        else:
-            raise ValueError(
-                "compose expects bidirected documents followed by at most "
-                "one signed center"
-            )
-    d = compose_dn(DnDecomposition(tuple(bidirections), center))
-    out.write(serialize(Document("dn", d)))
+    center = docs.pop() if type(docs[-1]) is SignedGraph else None
+    if any(type(x) is not BidirectedGraph for x in docs):
+        raise ValueError(
+            "compose expects bidirected documents followed by at most one signed center"
+        )
+    out.write(serialize(compose_dn(DnDecomposition(tuple(docs), center))))
     return 0
 
 
 def _run_random(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     b = random_bidirected(ns.vertices, ns.edges, ns.loops, ns.parallel, ns.seed)
-    out.write(serialize(Document("bidirected", b)))
+    out.write(serialize(b))
     return 0
 
 
 # subcommand -> (help, document kinds it takes, handler).  The handler gets the
-# parsed document, the arguments and stdout; with kinds None (compose, random),
+# parsed overlay, the arguments and stdout; with kinds None (compose, random),
 # the arguments, stdin and stdout.  Handlers look up the library functions they
 # call in this module at call time, so a wrapper installed here sees the call.
 COMMANDS = {
@@ -435,12 +440,11 @@ def run_command(
         if kinds is None:
             code = handler(ns, stdin_stream, out)
         else:
-            doc = parse(_read_input(ns.file, stdin_stream))
-            if doc.kind not in kinds:
-                raise ValueError(
-                    f"{ns.command} needs a {' or '.join(kinds)} document, got {doc.kind}"
-                )
-            code = handler(doc, ns, out)
+            x = parse(_read_input(ns.file, stdin_stream))
+            kind = _KIND[type(x)]
+            if kind not in kinds:
+                raise ValueError(f"{ns.command} needs a {' or '.join(kinds)} document, got {kind}")
+            code = handler(x, ns, out)
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2, out.getvalue(), err.getvalue()

@@ -17,7 +17,6 @@ from .core import (
     BidirectedGraph,
     Di2SignedGraph,
     DnSignedGraph,
-    Sign,
     SignedGraph,
 )
 
@@ -94,17 +93,12 @@ def compose_dn(dec: DnDecomposition) -> DnSignedGraph:
     if not parts:
         raise ValueError("decomposition has no components")
     g = parts[0].graph
-    for p in parts[1:]:
-        if p.graph != g:
-            raise ValueError("components have mismatched underlying graphs")
-    m = len(dec.bidirections)
-    n = 2 * m + (1 if dec.center is not None else 0)
-    labels = []
-    for e in range(g.edge_count):
-        fore = tuple(b.beta[e][0] for b in dec.bidirections)
-        aft = tuple(dec.bidirections[i].beta[e][1] for i in range(m - 1, -1, -1))
-        mid: tuple[Sign, ...] = (
-            (dec.center.sigma[e],) if dec.center is not None else ()
-        )
-        labels.append(fore + mid + aft)
-    return DnSignedGraph(n, g, tuple(labels))
+    if any(p.graph != g for p in parts):
+        raise ValueError("components have mismatched underlying graphs")
+    # tuple position -> that position's sign on every edge: the side-0 signs,
+    # the center, then the side-1 signs in reverse order
+    columns = [[a for a, _ in b.beta] for b in dec.bidirections]
+    if dec.center is not None:
+        columns.append(dec.center.sigma)
+    columns += [[c for _, c in b.beta] for b in reversed(dec.bidirections)]
+    return DnSignedGraph(dec.n, g, tuple(zip(*columns)))

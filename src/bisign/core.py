@@ -1,10 +1,10 @@
 """Multigraph types with half-edge addressing and the four sign overlays.
 
 Everything here is immutable after construction.  Edges carry dense integer
-ids in insertion order; each edge has two half-edges ``(edge_id, 0)`` and
-``(edge_id, 1)``, which stay distinct even on a loop.  The canonical
-orientation of an edge runs from side 0 to side 1, and all stored label
-tuples are relative to it.
+ids in insertion order; each edge has two half-edges, the plain pairs
+``(edge_id, 0)`` and ``(edge_id, 1)``, which stay distinct even on a loop.
+The canonical orientation of an edge runs from side 0 to side 1, and all
+stored label tuples are relative to it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Union
 
 VertexId = int
 EdgeId = int
@@ -54,13 +54,6 @@ PLUS = Sign.PLUS
 MINUS = Sign.MINUS
 
 
-class HalfEdge(NamedTuple):
-    """One end of an edge; ``side`` is 0 or 1."""
-
-    edge_id: EdgeId
-    side: int
-
-
 @dataclass(frozen=True)
 class Graph:
     """A multigraph: loops and parallel edges allowed, vertices 0..n-1.
@@ -82,12 +75,13 @@ class Graph:
         return self.edges[e]
 
     @cached_property
-    def incidence(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Per-vertex incident half-edges, ordered by (edge id, side)."""
-        inc: list[list[HalfEdge]] = [[] for _ in range(self.vertex_count)]
+    def incidence(self) -> tuple[tuple[tuple[EdgeId, int], ...], ...]:
+        """Per-vertex incident half-edges as ``(edge id, side)`` pairs,
+        ordered by edge id, then side."""
+        inc: list[list[tuple[EdgeId, int]]] = [[] for _ in range(self.vertex_count)]
         for e, (u, v) in enumerate(self.edges):
-            inc[u].append(HalfEdge(e, 0))
-            inc[v].append(HalfEdge(e, 1))
+            inc[u].append((e, 0))
+            inc[v].append((e, 1))
         return tuple(tuple(hes) for hes in inc)
 
 

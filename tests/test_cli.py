@@ -4,12 +4,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisign import (
     MINUS,
     PLUS,
+    BidirectedGraph,
+    Di2SignedGraph,
+    DnSignedGraph,
     SignedGraph,
     VertexSignature,
     build_graph,
@@ -20,8 +23,8 @@ from bisign import (
 )
 from bisign.balance import CycleWitness
 from bisign.cli import (
+    MAX_TUPLE_LENGTH,
     MAX_VERTICES,
-    Document,
     ParseError,
     export_dot,
     main,
@@ -38,21 +41,21 @@ from _strategies import bidirected_graphs, dn_graphs, signed_graphs
 
 def test_parse_bidirected():
     doc = parse("bidirected 2 1\n0 1 + -\n")
-    assert doc.kind == "bidirected"
-    assert doc.payload.graph.vertex_count == 2
-    assert doc.payload.beta == ((PLUS, MINUS),)
+    assert type(doc) is BidirectedGraph
+    assert doc.graph.vertex_count == 2
+    assert doc.beta == ((PLUS, MINUS),)
 
 
 def test_parse_signed_triangle():
     doc = parse("signed 3 3\n0 1 +\n1 2 +\n2 0 -\n")
-    assert doc.payload.sigma == (PLUS, PLUS, MINUS)
+    assert doc.sigma == (PLUS, PLUS, MINUS)
 
 
 def test_parse_dn():
     doc = parse("dn 3 2 1\n0 1 + - -\n")
-    assert doc.kind == "dn"
-    assert doc.payload.n == 3
-    assert doc.payload.labels == ((PLUS, MINUS, MINUS),)
+    assert type(doc) is DnSignedGraph
+    assert doc.n == 3
+    assert doc.labels == ((PLUS, MINUS, MINUS),)
 
 
 def _bad(text, line, column, id=None):
@@ -111,13 +114,83 @@ def test_parse_errors_carry_line_numbers(text, line, column):
 def test_vertex_count_limit():
     # an edge-free document allocates nothing per vertex while parsing
     doc = parse(f"bidirected {MAX_VERTICES} 0\n")
-    assert doc.payload.graph.vertex_count == MAX_VERTICES
+    assert doc.graph.vertex_count == MAX_VERTICES
     for text, column in ((f"bidirected {MAX_VERTICES + 1} 0\n", 12),
                          (f"dn 2 {MAX_VERTICES + 1} 0\n", 6),
                          ("signed 4000000000 0\n", 8)):
         with pytest.raises(ParseError, match="exceeds the limit") as e:
             parse(text)
         assert (e.value.line, e.value.column) == (1, column)
+
+
+def test_tuple_length_limit():
+    # an edge-free dn document holds no sign token, whatever its n
+    doc = parse(f"dn {MAX_TUPLE_LENGTH} 2 0\n")
+    assert doc.n == MAX_TUPLE_LENGTH
+    for text in (f"dn {MAX_TUPLE_LENGTH + 1} 2 0\n", "dn 4000000000 2 0\n"):
+        with pytest.raises(ParseError, match="exceeds the limit") as e:
+            parse(text)
+        assert (e.value.line, e.value.column) == (1, 4)
+    code, out, err = run_command(["decompose"], "dn 4000000000 2 0\n")
+    assert (code, out) == (2, "")
+    limit = f"tuple length 4000000000 exceeds the limit {MAX_TUPLE_LENGTH}"
+    assert err == f"error: line 1, column 4: {limit}\n"
+
+
+# the grammar's words, digits and separators, drawn three times as often as
+# any other character
+_PIECES = st.sampled_from(
+    ["signed", "bidirected", "di2", "dn", "+", "-", " ", "\t", "\r", "\n", *"0123456789"]
+)
+_PIECE_OR_CHAR = st.one_of(_PIECES, _PIECES, _PIECES, st.characters())
+_FUZZ_TEXT = st.lists(_PIECE_OR_CHAR, max_size=40).map("".join)
+
+
+@st.composite
+def _near_document(draw):
+    """A document from the grammar whose counts, endpoints and sign counts
+    may be zero, off by one or out of range, with up to two short spans then
+    replaced by fuzz pieces: accepted and rejected inputs both come up often."""
+    small = st.integers(0, 4)
+    kind = draw(st.sampled_from(["signed", "bidirected", "di2", "dn"]))
+    header = [kind, draw(st.integers(1, 4)), draw(small)]
+    if kind == "dn":
+        header.insert(1, draw(small))
+    signs = {"signed": 1, "bidirected": 2, "di2": 2}.get(kind, header[1])
+    rows = [header]
+    # one count in three is off by one
+    off_by = st.sampled_from([0, 0, 0, 0, 1, -1])
+    for _ in range(max(0, header[-1] + draw(off_by))):
+        k = max(0, signs + draw(off_by))
+        tokens = st.lists(st.sampled_from("+-"), min_size=k, max_size=k)
+        ends = st.sampled_from(range(header[-2] + 1))  # the vertex count is out of range
+        rows.append([draw(ends), draw(ends)] + draw(tokens))
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(_PIECE_OR_CHAR) + text[j:]
+    return text
+
+
+_NEAR_DOCUMENTS = st.lists(_near_document(), min_size=1, max_size=2).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_FUZZ_TEXT, _NEAR_DOCUMENTS))
+def test_parse_is_total(text):
+    # any text gives overlays or a ParseError, never another exception
+    try:
+        docs = [parse(text)]
+    except ParseError:
+        docs = []
+    try:
+        docs += parse_documents(text)
+    except ParseError:
+        pass
+    for x in docs:
+        assert type(x) in (SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph)
+        assert parse(serialize(x)) == x
 
 
 def test_serialize_canonical():
@@ -128,31 +201,32 @@ def test_serialize_canonical():
 
 def test_parse_skips_blank_lines():
     doc = parse("\nsigned 2 1\n\n0 1 +\n\n")
-    assert doc.payload.sigma == (PLUS,)
+    assert doc.sigma == (PLUS,)
 
 
 @given(bidirected_graphs())
 def test_roundtrip_bidirected_docs(b):
-    doc = Document("bidirected", b)
-    assert parse(serialize(doc)) == doc
+    assert parse(serialize(b)) == b
+    # the same graph and labels as a di2 document keep their own kind
+    d = Di2SignedGraph(b.graph, b.beta)
+    assert parse(serialize(d)) == d
+    assert type(parse(serialize(d))) is Di2SignedGraph
 
 
 @given(signed_graphs())
 def test_roundtrip_signed_docs(s):
-    doc = Document("signed", s)
-    assert parse(serialize(doc)) == doc
+    assert parse(serialize(s)) == s
 
 
 @given(dn_graphs())
 def test_roundtrip_dn_docs(d):
-    doc = Document("dn", d)
-    assert parse(serialize(doc)) == doc
+    assert parse(serialize(d)) == d
 
 
 @given(st.integers(0, 2**32))
 def test_roundtrip_random_docs(seed):
     b = random_bidirected(6, 9, True, True, seed)
-    text = serialize(Document("bidirected", b))
+    text = serialize(b)
     assert serialize(parse(text)) == text
 
 
@@ -260,12 +334,12 @@ def test_uniformize_certificate_reverifies():
     reorient_ids = [int(x) for x in lines[1].split()[1:]]
     mu = VertexSignature(tuple(Sign.from_char(c) for c in lines[2].split()[1:]))
     uniform_doc = parse("\n".join(lines[3:]) + "\n")
-    original = parse("bidirected 4 4\n0 1 - +\n1 2 - +\n2 3 - +\n3 0 - +\n").payload
-    assert reorient(original, reorient_ids) == uniform_doc.payload
-    assert is_uniform(uniform_doc.payload)
+    original = parse("bidirected 4 4\n0 1 - +\n1 2 - +\n2 3 - +\n3 0 - +\n")
+    assert reorient(original, reorient_ids) == uniform_doc
+    assert is_uniform(uniform_doc)
     from bisign import associated_signed
 
-    assert associated_signed(uniform_doc.payload) == associated_signed(original)
+    assert associated_signed(uniform_doc) == associated_signed(original)
     assert verify_signature(associated_signed(original), mu, "antibalance")
 
 
@@ -280,7 +354,7 @@ def test_uniformize_witness_reverifies():
     edges = tuple(int(x) for x in parts[2:])
     from bisign import associated_signed
 
-    sb = associated_signed(parse(text).payload)
+    sb = associated_signed(parse(text))
     assert cycle_sign(sb, CycleWitness(edges, sign)) is sign
     assert sign is PLUS and len(edges) == 3
 
@@ -290,7 +364,7 @@ def test_decompose_compose_roundtrip_via_cli():
     code, out, _ = run_command(["decompose"], text)
     assert code == 0
     docs = parse_documents(out)
-    assert [d.kind for d in docs] == ["bidirected", "bidirected", "signed"]
+    assert [type(d) for d in docs] == [BidirectedGraph, BidirectedGraph, SignedGraph]
     code, back, _ = run_command(["compose"], out)
     assert code == 0 and back == text
 

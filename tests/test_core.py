@@ -8,7 +8,6 @@ from bisign import (
     BidirectedGraph,
     DnSignedGraph,
     Di2SignedGraph,
-    HalfEdge,
     Sign,
     SignedGraph,
     VertexRole,
@@ -70,8 +69,18 @@ def test_build_triangle():
 def test_build_loop_has_two_half_edges():
     g = build_graph(1, [(0, 0)])
     hes = g.incidence[0]
-    assert hes == (HalfEdge(0, 0), HalfEdge(0, 1))
+    assert hes == ((0, 0), (0, 1))
     assert hes[0] != hes[1]
+    # a loop at 1 between a parallel pair: half-edges are plain
+    # (edge id, side) tuples in that order at every vertex
+    g = build_graph(3, [(0, 1), (1, 1), (1, 0), (2, 0)])
+    want = [[] for _ in range(g.vertex_count)]
+    for e, ends in enumerate(g.edges):
+        for side, v in enumerate(ends):
+            want[v].append((e, side))
+    assert g.incidence == tuple(map(tuple, want))
+    assert g.incidence[1] == ((0, 1), (1, 0), (1, 1), (2, 0))
+    assert all(type(he) is tuple for hes in g.incidence for he in hes)
 
 
 def test_build_digon():

@@ -103,13 +103,15 @@ def test_uniformizable_enumeration_prefers_empty_set():
 
 def _first_uniform_subset(b):
     """Plain reference: walk the reorientation subsets in increasing-bitmask
-    order and return the first that leaves no vertex mixed."""
+    order and return the first that leaves no vertex mixed.  End signs are
+    read from ``edges`` and ``beta``, not from ``Graph.incidence``, which the
+    oracle and the fast path both use."""
     m = b.graph.edge_count
     for mask in range(1 << m):
-        ends = (
-            {-b.beta[e][side] if mask >> e & 1 else b.beta[e][side] for e, side in hes}
-            for hes in b.graph.incidence
-        )
+        ends = [set() for _ in range(b.graph.vertex_count)]
+        for e, (pair, signs) in enumerate(zip(b.graph.edges, b.beta)):
+            for v, sign in zip(pair, signs):
+                ends[v].add(-sign if mask >> e & 1 else sign)
         if all(len(signs) <= 1 for signs in ends):
             return frozenset(e for e in range(m) if mask >> e & 1)
     return None
