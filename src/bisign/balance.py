@@ -5,16 +5,23 @@ antibalanced when every even cycle is positive and every odd cycle negative
 (equivalently, the negated graph is balanced).  Both checks return either a
 vertex signature certifying the property or a violating cycle.
 
-The decision procedure labels each component by breadth-first search from
-the lowest-id unvisited vertex (edge-id tie-break), roots get ``+``, and a
-failing non-tree edge yields its fundamental cycle as the witness.  Loops
-and digons count as cycles of length 1 and 2.
+The decision procedure walks a breadth-first spanning forest: each
+component's root is its lowest-id vertex, and a vertex scans its half-edges
+by edge id, then side.  Which edges join the forest never depends on the
+signs, so the forest is built once per graph and cached on it
+(``Graph._forest``); every labeling of that graph reuses it.  Roots get
+``+`` and each child mu(w) = mu(u)*sigma(e) across its tree edge, so the
+tree path between u and v has sign mu(u)*mu(v).  The non-tree edges are
+then checked in id order; the first e = uv with sigma(e) != mu(u)*mu(v)
+yields its fundamental cycle as the witness, whose sign
+sigma(e)*mu(u)*mu(v) is therefore ``-``.  Loops and digons count as cycles
+of length 1 and 2.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId
@@ -124,12 +131,6 @@ def cycle_sign(s: SignedGraph, c: CycleWitness) -> Sign:
     return sign
 
 
-def _make_witness(s: SignedGraph, edges: tuple[EdgeId, ...]) -> CycleWitness:
-    sigma = s.sigma
-    negative = [sigma[e] for e in edges].count(MINUS)
-    return CycleWitness(edges, MINUS if negative % 2 else PLUS)
-
-
 def is_balanced(s: SignedGraph) -> BalanceResult:
     """Decide balance; a Balanced result carries mu with
     sigma(uv) = mu(u)*mu(v) on every edge, an Unbalanced result carries a
@@ -137,44 +138,25 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
     g = s.graph
     sigma = s.sigma
     edges = g.edges
-    incidence = g.incidence
-    n = g.vertex_count
-    mu: list[Optional[Sign]] = [None] * n
-    parent_edge: list[int] = [-1] * n
-    parent_vertex: list[int] = [-1] * n
-    depth = [0] * n
-    in_tree = [False] * g.edge_count
-
-    for root in range(n):
-        if mu[root] is not None:
-            continue
-        mu[root] = PLUS
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            # mu(w) = mu(u) * sigma(e): mu(u) across a + edge, else its negation
-            same = mu[u]
-            other = MINUS if same is PLUS else PLUS
-            for e, side in incidence[u]:
-                w = edges[e][1 - side]
-                if mu[w] is None:
-                    mu[w] = same if sigma[e] is PLUS else other
-                    parent_edge[w] = e
-                    parent_vertex[w] = u
-                    depth[w] = depth[u] + 1
-                    in_tree[e] = True
-                    queue.append(w)
+    order, parent_edge, parent_vertex, depth, nontree = g._forest
+    # roots get +; a parent is labeled before its children, and
+    # mu(w) = mu(u) * sigma(e): mu(u) across a + edge, else its negation
+    mu = [PLUS] * g.vertex_count
+    for w in order:
+        same = mu[parent_vertex[w]]
+        if sigma[parent_edge[w]] is PLUS:
+            mu[w] = same
+        else:
+            mu[w] = MINUS if same is PLUS else PLUS
 
     # every non-tree edge closes a fundamental cycle; check them in id order
-    for e in range(g.edge_count):
-        if in_tree[e]:
-            continue
+    for e in compress(range(len(edges)), nontree):
         u, v = edges[e]
         # sigma(e) = mu(u) * mu(v)
         if (sigma[e] is PLUS) == (mu[u] is mu[v]):
             continue
         if u == v:
-            return BalanceResult(witness=_make_witness(s, (e,)))
+            return BalanceResult(witness=CycleWitness((e,), MINUS))
         # climb to the common ancestor collecting tree edges on both sides
         pu: list[int] = []
         pv: list[int] = []
@@ -190,10 +172,9 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
             a = parent_vertex[a]
             pv.append(parent_edge[b])
             b = parent_vertex[b]
-        cycle = (e, *pv, *reversed(pu))
-        return BalanceResult(witness=_make_witness(s, cycle))
+        return BalanceResult(witness=CycleWitness((e, *pv, *reversed(pu)), MINUS))
 
-    return BalanceResult(signature=VertexSignature(tuple(mu)))  # type: ignore[arg-type]
+    return BalanceResult(signature=VertexSignature(tuple(mu)))
 
 
 def is_antibalanced(s: SignedGraph) -> BalanceResult:
@@ -204,10 +185,11 @@ def is_antibalanced(s: SignedGraph) -> BalanceResult:
     condition, with its sign taken in s.
     """
     r = is_balanced(negate_signed(s))
-    # negating every edge keeps an even cycle's sign and flips an odd one's
+    # the witness is negative in the negated graph; negating every edge keeps
+    # an even cycle's sign and makes an odd one positive
     if r.witness is None or len(r.witness.edges) % 2 == 0:
         return r
-    return BalanceResult(witness=CycleWitness(r.witness.edges, -r.witness.sign))
+    return BalanceResult(witness=CycleWitness(r.witness.edges, PLUS))
 
 
 def signature_to_bipartition(mu: VertexSignature) -> Bipartition:

@@ -251,7 +251,9 @@ def serialize(x: Overlay) -> str:
         text = {t: _signs_text(t) for t in set(labels)}
     rows = [f"{kind}{n} {g.vertex_count} {g.edge_count}"]
     rows += [f"{u} {v} {text[t]}" for (u, v), t in zip(g.edges, labels)]
-    return "\n".join(rows) + "\n"
+    # the empty last row ends the text in a newline without a second copy
+    rows.append("")
+    return "\n".join(rows)
 
 
 _ARROW = {Sign.PLUS: "normal", Sign.MINUS: "inv"}

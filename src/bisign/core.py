@@ -9,9 +9,12 @@ stored label tuples are relative to it.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 VertexId = int
@@ -78,11 +81,53 @@ class Graph:
     def incidence(self) -> tuple[tuple[tuple[EdgeId, int], ...], ...]:
         """Per-vertex incident half-edges as ``(edge id, side)`` pairs,
         ordered by edge id, then side."""
-        inc: list[list[tuple[EdgeId, int]]] = [[] for _ in range(self.vertex_count)]
+        inc: list = [[] for _ in range(self.vertex_count)]
         for e, (u, v) in enumerate(self.edges):
             inc[u].append((e, 0))
             inc[v].append((e, 1))
-        return tuple(tuple(hes) for hes in inc)
+        # freeze each list in place, so the lists and tuples never coexist
+        for v, hes in enumerate(inc):
+            inc[v] = tuple(hes)
+        return tuple(inc)
+
+    @cached_property
+    def _forest(self) -> tuple[array, array, array, array, bytes]:
+        """The breadth-first spanning forest, which depends on the graph
+        alone: each component's root is its lowest-id vertex, and a vertex
+        scans its half-edges in ``incidence`` order.
+
+        Returns the non-root vertices in discovery order; each vertex's
+        parent edge, parent vertex (-1 at a root) and depth; and a byte per
+        edge, 1 on the non-tree edges.
+        """
+        n = self.vertex_count
+        edges = self.edges
+        incidence = self.incidence
+        seen = bytearray(n)
+        parent_edge = array("i", [-1]) * n
+        parent_vertex = array("i", [-1]) * n
+        depth = array("i", [0]) * n
+        order = array("i")
+        nontree = bytearray(b"\x01") * len(edges)
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                d = depth[u] + 1
+                for e, side in incidence[u]:
+                    w = edges[e][1 - side]
+                    if not seen[w]:
+                        seen[w] = 1
+                        parent_edge[w] = e
+                        parent_vertex[w] = u
+                        depth[w] = d
+                        nontree[e] = 0
+                        order.append(w)
+                        queue.append(w)
+        return order, parent_edge, parent_vertex, depth, bytes(nontree)
 
 
 def build_graph(
@@ -91,13 +136,20 @@ def build_graph(
     """Build a multigraph; side 0 of each edge is the first listed endpoint."""
     if vertex_count < 0:
         raise ValueError("vertex_count must be nonnegative")
-    for i, (u, v) in enumerate(endpoint_pairs):
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(
-                f"edge {i} endpoint out of range: ({u}, {v}) with "
-                f"{vertex_count} vertices"
-            )
-    return Graph(vertex_count, tuple((u, v) for u, v in endpoint_pairs))
+    edges = tuple(map(tuple, endpoint_pairs))
+    if edges and (
+        min(chain.from_iterable(edges)) < 0
+        or max(chain.from_iterable(edges)) >= vertex_count
+        or set(map(len, edges)) != {2}
+    ):
+        # name the first bad edge; a pair that is not a pair fails to unpack
+        for i, (u, v) in enumerate(edges):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(
+                    f"edge {i} endpoint out of range: ({u}, {v}) with "
+                    f"{vertex_count} vertices"
+                )
+    return Graph(vertex_count, edges)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from bisign import (
     MINUS,
     PLUS,
+    BalanceResult,
     CycleWitness,
     SignedGraph,
     VertexSignature,
@@ -18,6 +20,7 @@ from bisign import (
     signature_to_bipartition,
     verify_signature,
 )
+from bisign.generate import SplitMix64, random_bidirected
 from bisign.oracle import (
     GraphEnumeration,
     antibalanced_by_cycles,
@@ -140,6 +143,7 @@ def test_agrees_with_oracle_small_exhaustive():
             assert verify_signature(s, r.signature, "balance")
         else:
             assert cycle_sign(s, r.witness) is MINUS
+            assert r.witness.sign is cycle_sign(s, r.witness)
         ra = is_antibalanced(s)
         assert ra.holds == antibalanced_by_cycles(s)
         if ra.holds:
@@ -152,8 +156,97 @@ def test_agrees_with_oracle_small_exhaustive():
 
 @given(signed_graphs(max_vertices=5, max_edges=6))
 def test_agrees_with_oracle_sampled(s):
-    assert is_balanced(s).holds == balanced_by_cycles(s)
-    assert is_antibalanced(s).holds == antibalanced_by_cycles(s)
+    for mode, decide, oracle in (
+        ("balance", is_balanced, balanced_by_cycles),
+        ("antibalance", is_antibalanced, antibalanced_by_cycles),
+    ):
+        r = decide(s)
+        assert r.holds == oracle(s)
+        if r.holds:
+            assert verify_signature(s, r.signature, mode)
+        else:
+            assert r.witness.sign is cycle_sign(s, r.witness)
+
+
+def _reference_is_balanced(s):
+    """The one-pass labeling that the cached spanning forest replaced: a BFS
+    that labels as it goes, a scan of every edge for the non-tree ones, and
+    the witness sign recounted from sigma."""
+    g = s.graph
+    sigma = s.sigma
+    edges = g.edges
+    n = g.vertex_count
+    mu = [None] * n
+    parent_edge = [-1] * n
+    parent_vertex = [-1] * n
+    depth = [0] * n
+    in_tree = [False] * len(edges)
+    for root in range(n):
+        if mu[root] is not None:
+            continue
+        mu[root] = PLUS
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for e, side in g.incidence[u]:
+                w = edges[e][1 - side]
+                if mu[w] is None:
+                    mu[w] = mu[u] * sigma[e]
+                    parent_edge[w] = e
+                    parent_vertex[w] = u
+                    depth[w] = depth[u] + 1
+                    in_tree[e] = True
+                    queue.append(w)
+    for e, (u, v) in enumerate(edges):
+        if in_tree[e] or sigma[e] is mu[u] * mu[v]:
+            continue
+        pu, pv = [], []
+        a, b = u, v
+        while depth[a] > depth[b]:
+            pu.append(parent_edge[a])
+            a = parent_vertex[a]
+        while depth[b] > depth[a]:
+            pv.append(parent_edge[b])
+            b = parent_vertex[b]
+        while a != b:
+            pu.append(parent_edge[a])
+            a = parent_vertex[a]
+            pv.append(parent_edge[b])
+            b = parent_vertex[b]
+        cycle = (e,) if u == v else (e, *pv, *reversed(pu))
+        negative = [sigma[x] for x in cycle].count(MINUS)
+        return BalanceResult(witness=CycleWitness(cycle, MINUS if negative % 2 else PLUS))
+    return BalanceResult(signature=VertexSignature(tuple(mu)))
+
+
+def test_matches_reference_on_every_small_labeling():
+    # every labeling of a graph shares its Graph, and so its cached forest
+    checked = 0
+    for g in enumerate_multigraphs(GraphEnumeration(3, 4)):
+        for sigma in itertools.product(SIGNS, repeat=len(g.edges)):
+            s = SignedGraph(g, sigma)
+            assert is_balanced(s) == _reference_is_balanced(s)
+            checked += 1
+    assert checked == 2_944
+
+
+def test_matches_reference_on_large_random_graphs():
+    # loops, parallel edges, either end order, isolated vertices, and
+    # labelings that are balanced, one edge off balanced, or uniform random
+    for seed in range(24):
+        rng = SplitMix64(seed)
+        n = 1 + rng.below(1_500)
+        m = rng.below(2_001)
+        g = random_bidirected(n, m, True, True, seed).graph
+        tau = [rng.sign() for _ in range(n)]
+        balanced = [tau[u] * tau[v] for u, v in g.edges]
+        off = list(balanced)
+        if m:
+            off[rng.below(m)] *= MINUS
+        for sigma in (balanced, off, [rng.sign() for _ in range(m)]):
+            s = SignedGraph(g, tuple(sigma))
+            assert is_balanced(s) == _reference_is_balanced(s)
+        assert is_balanced(SignedGraph(g, tuple(balanced))).holds
 
 
 @given(signed_graphs())
