@@ -148,6 +148,17 @@ def test_criterion_7_cli_contract():
         ("allsink_triangle.bidirected", ["uniformize"], 0, "allsink_triangle.uniformize.out"),
         ("directed3cycle.bidirected", ["uniformize"], 1, "directed3cycle.uniformize.out"),
         ("oneneg_triangle.signed", ["check-balance"], 1, "oneneg_triangle.check-balance.out"),
+        # an isolated vertex and a loop; both parts non-empty
+        ("isolated_loop.signed", ["check-balance"], 0, "isolated_loop.check-balance.out"),
+        # every vertex +, so a bare "bipartition -" line
+        (
+            "allneg_triangle.signed",
+            ["check-antibalance"],
+            0,
+            "allneg_triangle.check-antibalance.out",
+        ),
+        # no vertices: "signature " keeps its trailing space
+        ("empty.signed", ["check-balance"], 0, "empty.check-balance.out"),
     ]
     for src, argv, want_code, want_out in cases:
         code, out, err = run_command(argv, (GOLDEN / src).read_text())

@@ -20,6 +20,7 @@ from bisign import (
     signature_to_bipartition,
     verify_signature,
 )
+from bisign.balance import closed_walk_vertices
 from bisign.generate import SplitMix64, random_bidirected
 from bisign.oracle import (
     GraphEnumeration,
@@ -62,6 +63,38 @@ def test_cycle_sign_rejects_non_cycles():
         cycle_sign(s, CycleWitness((0, 0, 1), PLUS))  # repeated edge
     with pytest.raises(ValueError):
         cycle_sign(s, CycleWitness((), PLUS))
+
+
+def _cycle_solutions(g, edges):
+    """Every vertex tuple (v_0, ..., v_{k-1}) of distinct vertices with edge
+    i joining v_i and v_{i+1 mod k}, found by brute force."""
+    k = len(edges)
+    ends = [sorted(g.edges[e]) for e in edges]
+    return [
+        list(vs)
+        for vs in itertools.permutations(range(g.vertex_count), k)
+        if all(ends[i] == sorted((vs[i], vs[(i + 1) % k])) for i in range(k))
+    ]
+
+
+def test_closed_walk_vertices_exhaustive():
+    # every sequence of distinct edge ids on every small graph, with the
+    # edges as enumerated (u <= v) and with every edge reversed
+    checked = accepted = 0
+    for g in enumerate_multigraphs(GraphEnumeration(4, 4)):
+        for graph in (g, build_graph(g.vertex_count, [(v, u) for u, v in g.edges])):
+            for k in range(1, len(g.edges) + 1):
+                for edges in itertools.permutations(range(len(g.edges)), k):
+                    solutions = _cycle_solutions(graph, edges)
+                    try:
+                        verts = closed_walk_vertices(graph, edges)
+                    except ValueError:
+                        assert not solutions, (graph, edges)
+                    else:
+                        assert verts in solutions, (graph, edges, verts)
+                        accepted += 1
+                    checked += 1
+    assert (checked, accepted) == (119_010, 7_440)
 
 
 def test_all_positive_triangle_balanced():
