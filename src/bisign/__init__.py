@@ -31,13 +31,11 @@ from .convert import (
 )
 from .balance import (
     BalanceResult,
-    Bipartition,
     CycleWitness,
     VertexSignature,
     cycle_sign,
     is_antibalanced,
     is_balanced,
-    signature_to_bipartition,
     verify_signature,
 )
 from .uniform import (
@@ -71,13 +69,11 @@ __all__ = [
     "decompose_dn",
     "compose_dn",
     "BalanceResult",
-    "Bipartition",
     "CycleWitness",
     "VertexSignature",
     "cycle_sign",
     "is_balanced",
     "is_antibalanced",
-    "signature_to_bipartition",
     "verify_signature",
     "VertexRole",
     "UniformizationResult",

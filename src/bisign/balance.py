@@ -34,20 +34,6 @@ class VertexSignature:
 
     mu: tuple[Sign, ...]
 
-    def __getitem__(self, v: VertexId) -> Sign:
-        return self.mu[v]
-
-    def __len__(self) -> int:
-        return len(self.mu)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A split V = v1 | v2; either part may be empty."""
-
-    v1: frozenset[VertexId]
-    v2: frozenset[VertexId]
-
 
 @dataclass(frozen=True)
 class CycleWitness:
@@ -56,14 +42,6 @@ class CycleWitness:
 
     edges: tuple[EdgeId, ...]
     sign: Sign
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def parity(self) -> str:
-        return "even" if len(self.edges) % 2 == 0 else "odd"
 
 
 @dataclass(frozen=True)
@@ -82,43 +60,25 @@ def closed_walk_vertices(graph: Graph, edges: tuple[EdgeId, ...]) -> list[Vertex
     """Validate that the edge sequence is a cycle and return the vertices
     visited, one per edge.
 
-    Length 1 must be a loop, length 2 a digon (a parallel pair); longer
-    sequences must chain into a closed walk with all vertices distinct.
-    Raises ValueError otherwise.
+    The walk starts at either end of the first edge; each edge must contain
+    the current vertex and moves to its other end, and the walk must close
+    without repeating a vertex.  Raises ValueError otherwise.
     """
     if not edges:
         raise ValueError("empty edge list is not a cycle")
     if len(set(edges)) != len(edges):
         raise ValueError("repeated edge in cycle")
     ends = [graph.endpoints(e) for e in edges]
-    if len(edges) == 1:
-        u, v = ends[0]
-        if u != v:
-            raise ValueError("a single non-loop edge is not a cycle")
-        return [u]
-    if len(edges) == 2:
-        (u, v), (x, y) = ends
-        if u == v or {u, v} != {x, y}:
-            raise ValueError("two edges form a cycle only as a digon")
-        return [u, v]
-    for start in ends[0]:
-        seq = [start]
-        cur = ends[0][1] if start == ends[0][0] else ends[0][0]
-        ok = True
-        for a, b in ends[1:]:
-            seq.append(cur)
-            if a == b:
-                ok = False
+    for cur in ends[0]:
+        walk = []
+        for a, b in ends:
+            if cur != a and cur != b:
                 break
-            if a == cur:
-                cur = b
-            elif b == cur:
-                cur = a
-            else:
-                ok = False
-                break
-        if ok and cur == start and len(set(seq)) == len(seq):
-            return seq
+            walk.append(cur)
+            cur = b if cur == a else a
+        else:
+            if cur == walk[0] and len(set(walk)) == len(walk):
+                return walk
     raise ValueError("edge list does not form a cycle")
 
 
@@ -155,23 +115,17 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
         # sigma(e) = mu(u) * mu(v)
         if (sigma[e] is PLUS) == (mu[u] is mu[v]):
             continue
-        if u == v:
-            return BalanceResult(witness=CycleWitness((e,), MINUS))
-        # climb to the common ancestor collecting tree edges on both sides
+        # climb the deeper side (u on ties) to the common ancestor, collecting
+        # tree edges on both sides; a loop climbs nowhere
         pu: list[int] = []
         pv: list[int] = []
-        a, b = u, v
-        while depth[a] > depth[b]:
-            pu.append(parent_edge[a])
-            a = parent_vertex[a]
-        while depth[b] > depth[a]:
-            pv.append(parent_edge[b])
-            b = parent_vertex[b]
-        while a != b:
-            pu.append(parent_edge[a])
-            a = parent_vertex[a]
-            pv.append(parent_edge[b])
-            b = parent_vertex[b]
+        while u != v:
+            if depth[u] >= depth[v]:
+                pu.append(parent_edge[u])
+                u = parent_vertex[u]
+            else:
+                pv.append(parent_edge[v])
+                v = parent_vertex[v]
         return BalanceResult(witness=CycleWitness((e, *pv, *reversed(pu)), MINUS))
 
     return BalanceResult(signature=VertexSignature(tuple(mu)))
@@ -192,23 +146,17 @@ def is_antibalanced(s: SignedGraph) -> BalanceResult:
     return BalanceResult(witness=CycleWitness(r.witness.edges, PLUS))
 
 
-def signature_to_bipartition(mu: VertexSignature) -> Bipartition:
-    """v1 = the + vertices, v2 = the - vertices."""
-    v1 = frozenset(v for v, x in enumerate(mu.mu) if x is PLUS)
-    v2 = frozenset(v for v, x in enumerate(mu.mu) if x is not PLUS)
-    return Bipartition(v1, v2)
-
-
 def verify_signature(s: SignedGraph, mu: VertexSignature, mode: str) -> bool:
     """Check sigma(uv) = mu(u)*mu(v) (balance) or -mu(u)*mu(v) (antibalance)
     on every edge; a loop at u therefore needs sigma = + resp. -."""
     if mode not in ("balance", "antibalance"):
         raise ValueError(f"unknown mode {mode!r}")
-    if len(mu) != s.graph.vertex_count:
+    signs = mu.mu
+    if len(signs) != s.graph.vertex_count:
         raise ValueError("signature does not cover the vertex set")
     flip = mode == "antibalance"
     for e, (u, v) in enumerate(s.graph.edges):
-        expect = mu[u] * mu[v]
+        expect = signs[u] * signs[v]
         if flip:
             expect = -expect
         if s.sigma[e] != expect:

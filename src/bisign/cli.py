@@ -52,7 +52,6 @@ from .balance import (
     CycleWitness,
     is_antibalanced,
     is_balanced,
-    signature_to_bipartition,
 )
 from .uniform import uniformize
 from .generate import random_bidirected
@@ -292,10 +291,12 @@ def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> i
     if not r.holds:
         return _write_failure(out, positive_word, r.witness)
     out.write(positive_word + "\n")
-    out.write("signature " + _signs_text(r.signature.mu) + "\n")
-    bp = signature_to_bipartition(r.signature)
-    out.write(("bipartition + " + " ".join(map(str, sorted(bp.v1)))).rstrip() + "\n")
-    out.write(("bipartition - " + " ".join(map(str, sorted(bp.v2)))).rstrip() + "\n")
+    mu = r.signature.mu
+    out.write("signature " + _signs_text(mu) + "\n")
+    # the + vertices, then the - vertices, each in id order
+    for sign in (Sign.PLUS, Sign.MINUS):
+        ids = " ".join([str(v) for v, x in enumerate(mu) if x is sign])
+        out.write(f"bipartition {sign} {ids}".rstrip() + "\n")
     return 0
 
 

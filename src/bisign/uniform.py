@@ -96,7 +96,6 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     r = is_antibalanced(associated_signed(b))
     if not r.holds:
         return UniformizationResult(witness=r.witness)
-    assert r.signature is not None
     mu = r.signature.mu
     target = tuple([_PAIRS[mu[u], mu[v]] for u, v in b.graph.edges])
     # sigma equality forces the two graphs to differ on both ends or neither,
@@ -105,7 +104,8 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
         [e for e, (old, new) in enumerate(zip(b.beta, target)) if old[0] is not new[0]]
     )
     uniform = BidirectedGraph(b.graph, target)
-    assert reorient(b, flips).beta == target
+    if reorient(b, flips).beta != target:
+        raise AssertionError("reorienting the flip set does not give the uniform graph")
     return UniformizationResult(
         reorient_set=flips, uniform=uniform, signature=r.signature
     )

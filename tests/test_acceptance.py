@@ -105,9 +105,9 @@ def test_criterion_4_theorem2_exhaustive():
                 for v in range(g.vertex_count):
                     role = vertex_role(r.uniform, v)
                     if role is VertexRole.SINK:
-                        assert r.signature[v] is PLUS
+                        assert r.signature.mu[v] is PLUS
                     elif role is VertexRole.SOURCE:
-                        assert r.signature[v] is MINUS
+                        assert r.signature.mu[v] is MINUS
             checked += 1
     print(f"PASS criterion 4: uniformization equivalence on {checked} bidirections")
 

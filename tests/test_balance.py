@@ -17,7 +17,6 @@ from bisign import (
     is_antibalanced,
     is_balanced,
     negate_signed,
-    signature_to_bipartition,
     verify_signature,
 )
 from bisign.balance import closed_walk_vertices
@@ -122,6 +121,11 @@ def test_positive_loop_never_violates():
     assert is_balanced(s).holds
 
 
+def test_empty_graph_certificate_is_truthy():
+    r = is_balanced(SignedGraph(build_graph(0, []), ()))
+    assert r.holds and r.signature and r.signature.mu == ()
+
+
 def test_all_negative_triangle_antibalanced():
     r = is_antibalanced(triangle((MINUS, MINUS, MINUS)))
     assert r.holds
@@ -135,14 +139,7 @@ def test_all_positive_triangle_not_antibalanced():
     assert sorted(r.witness.edges) == [0, 1, 2]
     # witness sign is taken in s, and it violates the odd-cycle condition
     assert r.witness.sign is PLUS
-    assert r.witness.parity == "odd"
-
-
-def test_signature_to_bipartition():
-    bp = signature_to_bipartition(VertexSignature((PLUS, PLUS, PLUS)))
-    assert bp.v1 == {0, 1, 2} and bp.v2 == frozenset()
-    bp = signature_to_bipartition(VertexSignature((PLUS, MINUS, PLUS)))
-    assert bp.v1 == {0, 2} and bp.v2 == {1}
+    assert len(r.witness.edges) % 2 == 1
 
 
 def test_verify_signature_modes():
@@ -184,7 +181,7 @@ def test_agrees_with_oracle_small_exhaustive():
         else:
             # signed in s, and an even cycle is negative or an odd one positive
             assert ra.witness.sign is cycle_sign(s, ra.witness)
-            assert (ra.witness.sign is PLUS) == (ra.witness.length % 2 == 1)
+            assert (ra.witness.sign is PLUS) == (len(ra.witness.edges) % 2 == 1)
 
 
 @given(signed_graphs(max_vertices=5, max_edges=6))
@@ -292,9 +289,9 @@ def test_balanced_bipartition_separates_negative_edges(s):
     r = is_balanced(s)
     if not r.holds:
         return
-    bp = signature_to_bipartition(r.signature)
+    mu = r.signature.mu
     for e, (u, v) in enumerate(s.graph.edges):
-        crosses = (u in bp.v1) != (v in bp.v1)
+        crosses = mu[u] is not mu[v]
         assert crosses == (s.sigma[e] is MINUS)
 
 

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -136,11 +140,11 @@ def test_uniformize_soundness(b):
         for v in range(b.graph.vertex_count):
             role = vertex_role(r.uniform, v)
             if role is VertexRole.SINK:
-                assert r.signature[v] is PLUS
+                assert r.signature.mu[v] is PLUS
             elif role is VertexRole.SOURCE:
-                assert r.signature[v] is MINUS
+                assert r.signature.mu[v] is MINUS
             else:
-                assert role is VertexRole.ISOLATED and r.signature[v] is PLUS
+                assert role is VertexRole.ISOLATED and r.signature.mu[v] is PLUS
     else:
         assert cycle_sign(associated_signed(b), r.witness) is r.witness.sign
 
@@ -154,3 +158,25 @@ def test_necessity_marking(b):
     u = r.uniform
     assert verify_signature(associated_signed(u), r.signature, "antibalance")
     assert is_antibalanced(associated_signed(b)).holds
+
+
+def test_self_check_runs_under_python_O():
+    # the reorient check must not be an assert that -O strips: a reorient
+    # that returns the wrong graph makes uniformize raise even so
+    src = pathlib.Path(sys.modules["bisign.uniform"].__file__).parents[1]
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import bisign.uniform as u
+from bisign import PLUS, BidirectedGraph, build_graph
+real = u.reorient
+u.reorient = lambda b, edges: real(real(b, edges), [0])
+try:
+    u.uniformize(BidirectedGraph(build_graph(2, [(0, 1)]), ((PLUS, PLUS),)))
+except AssertionError:
+    print(sys.flags.optimize, "raised")
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "1 raised\n"
