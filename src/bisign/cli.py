@@ -28,7 +28,8 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from typing import Iterable, Optional, TextIO, Union
+from itertools import chain, compress, islice
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from .core import (
     BidirectedGraph,
@@ -123,7 +124,8 @@ _OTHER_SPACE = re.compile(r"[^\S \t\r\n]")
 
 
 class _Lines:
-    """Cursor over non-blank input lines, tracking 1-based line numbers."""
+    """Cursor over the non-blank input lines as ``(1-based number, line)``
+    rows, read on demand with at most one row of lookahead."""
 
     def __init__(self, text: str):
         # ASCII text is checked by a few C-level scans; a regex over the
@@ -135,24 +137,30 @@ class _Lines:
                 rows = (text[: bad.start()] + "^").splitlines()
                 message = f"separator {bad.group()!r} is not space, tab, CR or LF"
                 raise ParseError(len(rows), len(rows[-1]), message)
-        self.items = [
-            (i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()
-        ]
-        self.pos = 0
-
-    def next(self) -> tuple[int, str]:
-        if self.pos >= len(self.items):
-            last = self.items[-1][0] if self.items else 1
-            raise ParseError(last, 1, "unexpected end of input")
-        self.pos += 1
-        return self.items[self.pos - 1]
+        lines = text.splitlines()
+        self.rows = compress(enumerate(lines, 1), map(str.strip, lines))
+        # the row that exhausted() read ahead, not yet taken
+        self.ahead: Optional[tuple[int, str]] = None
 
     def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
+        if self.ahead is None:
+            self.ahead = next(self.rows, None)
+        return self.ahead is None
+
+    def take(self, k: int) -> Iterator[tuple[int, str]]:
+        """The next k rows (fewer at the end of input), read as the result is
+        iterated; the cursor stands after each row once it is read."""
+        rows = self.rows if self.ahead is None else chain((self.ahead,), self.rows)
+        self.ahead = None
+        return islice(rows, k)
 
 
 def _parse_one(lines: _Lines) -> Overlay:
-    lineno, header = lines.next()
+    row = next(lines.take(1), None)
+    if row is None:
+        # only an input without a non-blank line ends before a header
+        raise ParseError(1, 1, "unexpected end of input")
+    lineno, header = row
     tokens = header.split()
     kind = tokens[0]
     if kind not in OVERLAYS:
@@ -181,8 +189,7 @@ def _parse_one(lines: _Lines) -> Overlay:
     validated: dict[tuple[str, ...], Union[Sign, tuple[Sign, ...]]] = {}
     pairs: list[tuple[int, int]] = []
     rows: list = []
-    for _ in range(ecount):
-        lineno, line = lines.next()
+    for lineno, line in lines.take(ecount):
         tokens = line.split()
         u = _int_token(lineno, line, tokens, 0, "endpoint")
         v = _int_token(lineno, line, tokens, 1, "endpoint")
@@ -199,6 +206,9 @@ def _parse_one(lines: _Lines) -> Overlay:
             label = validated[key] = signs[0] if kind == "signed" else signs
         pairs.append((u, v))
         rows.append(label)
+    if len(pairs) < ecount:
+        # lineno is the last non-blank line: the header's, or the last edge's
+        raise ParseError(lineno, 1, "unexpected end of input")
 
     g = build_graph(vcount, pairs)
     if kind == "dn":
@@ -215,7 +225,7 @@ def parse(text: str) -> Overlay:
     lines = _Lines(text)
     doc = _parse_one(lines)
     if not lines.exhausted():
-        lineno, line = lines.next()
+        lineno, line = lines.ahead
         raise _fail(lineno, line, 0, "trailing input after document")
     return doc
 
@@ -373,6 +383,9 @@ def _run_compose(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
 
 
 def _run_random(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
+    # write only what parse takes back
+    if ns.vertices > MAX_VERTICES:
+        raise ValueError(f"vertex count {ns.vertices} exceeds the limit {MAX_VERTICES}")
     b = random_bidirected(ns.vertices, ns.edges, ns.loops, ns.parallel, ns.seed)
     out.write(serialize(b))
     return 0

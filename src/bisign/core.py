@@ -1,10 +1,10 @@
 """Multigraph types with half-edge addressing and the four sign overlays.
 
 Everything here is immutable after construction.  Edges carry dense integer
-ids in insertion order; each edge has two half-edges, the plain pairs
-``(edge_id, 0)`` and ``(edge_id, 1)``, which stay distinct even on a loop.
-The canonical orientation of an edge runs from side 0 to side 1, and all
-stored label tuples are relative to it.
+ids in insertion order; each edge has two half-edges, the ints
+``2 * edge_id`` (side 0) and ``2 * edge_id + 1`` (side 1), which stay
+distinct even on a loop.  The canonical orientation of an edge runs from
+side 0 to side 1, and all stored label tuples are relative to it.
 """
 
 from __future__ import annotations
@@ -78,13 +78,18 @@ class Graph:
         return self.edges[e]
 
     @cached_property
-    def incidence(self) -> tuple[tuple[tuple[EdgeId, int], ...], ...]:
-        """Per-vertex incident half-edges as ``(edge id, side)`` pairs,
-        ordered by edge id, then side."""
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex incident half-edges, ordered by edge id, then side.
+
+        Half-edge ``h = 2e + side`` is the given side of edge ``e``: ``h >> 1``
+        is the edge, ``h & 1`` the side and ``h ^ 1`` the other half-edge.
+        """
         inc: list = [[] for _ in range(self.vertex_count)]
-        for e, (u, v) in enumerate(self.edges):
-            inc[u].append((e, 0))
-            inc[v].append((e, 1))
+        h = 0
+        for u, v in self.edges:
+            inc[u].append(h)
+            inc[v].append(h + 1)
+            h += 2
         # freeze each list in place, so the lists and tuples never coexist
         for v, hes in enumerate(inc):
             inc[v] = tuple(hes)
@@ -103,6 +108,7 @@ class Graph:
         n = self.vertex_count
         edges = self.edges
         incidence = self.incidence
+        ends = list(chain.from_iterable(edges))
         seen = bytearray(n)
         parent_edge = array("i", [-1]) * n
         parent_vertex = array("i", [-1]) * n
@@ -117,9 +123,10 @@ class Graph:
             while queue:
                 u = queue.popleft()
                 d = depth[u] + 1
-                for e, side in incidence[u]:
-                    w = edges[e][1 - side]
+                for h in incidence[u]:
+                    w = ends[h ^ 1]
                     if not seen[w]:
+                        e = h >> 1
                         seen[w] = 1
                         parent_edge[w] = e
                         parent_vertex[w] = u

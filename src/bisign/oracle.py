@@ -169,8 +169,9 @@ def uniformizable_by_enumeration(
 
     Subset k (edge e reoriented iff bit e of k is set) is bit k of a 2^m-bit
     integer; ``flipped[e]`` is the set of subsets reorienting edge e.  Each
-    vertex ANDs, per half-edge, ``flipped[e]`` or its complement into the
-    subsets leaving it all + and all -; the vertices' unions are ANDed, and
+    vertex ANDs, per incident half-edge h = 2e + side, ``flipped[e]`` or its
+    complement into the subsets leaving it all + and all -, reading the end
+    sign ``beta[e][side]``; the vertices' unions are ANDed, and
     the lowest set bit is the first subset in increasing-bitmask order (the
     empty set first).  ``max_edges`` bounds the m * 2^m bits this takes.
     """
@@ -190,8 +191,9 @@ def uniformizable_by_enumeration(
     ok = full
     for hes in g.incidence:
         plus = minus = full
-        for e, side in hes:
-            if beta[e][side] is PLUS:
+        for h in hes:
+            e = h >> 1
+            if beta[e][h & 1] is PLUS:
                 plus &= ~flipped[e]
                 minus &= flipped[e]
             else:

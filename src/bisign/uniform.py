@@ -49,7 +49,7 @@ def vertex_role(b: BidirectedGraph, v: VertexId) -> VertexRole:
     hes = b.graph.incidence[v]
     if not hes:
         return VertexRole.ISOLATED
-    signs = {b.beta[e][side] for e, side in hes}
+    signs = {b.beta[h >> 1][h & 1] for h in hes}
     if signs == {PLUS}:
         return VertexRole.SINK
     if signs == {MINUS}:

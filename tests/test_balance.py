@@ -201,11 +201,16 @@ def test_agrees_with_oracle_sampled(s):
 def _reference_is_balanced(s):
     """The one-pass labeling that the cached spanning forest replaced: a BFS
     that labels as it goes, a scan of every edge for the non-tree ones, and
-    the witness sign recounted from sigma."""
+    the witness sign recounted from sigma.  Each vertex's (edge, side) list
+    is built here from ``edges``, not read from ``Graph.incidence``."""
     g = s.graph
     sigma = s.sigma
     edges = g.edges
     n = g.vertex_count
+    incident = [[] for _ in range(n)]
+    for e, ends in enumerate(edges):
+        for side, x in enumerate(ends):
+            incident[x].append((e, side))
     mu = [None] * n
     parent_edge = [-1] * n
     parent_vertex = [-1] * n
@@ -218,7 +223,7 @@ def _reference_is_balanced(s):
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for e, side in g.incidence[u]:
+            for e, side in incident[u]:
                 w = edges[e][1 - side]
                 if mu[w] is None:
                     mu[w] = mu[u] * sigma[e]

@@ -103,6 +103,15 @@ WARM = "bidirected 3 2\n0 1 + -\n"
         _bad("signed 2 1\r0 1\x1d+\n", 2, 4, id="x1d-after-cr"),
         _bad("signed 2 1\n\n0 1\x1e+\n", 3, 4, id="x1e-after-blank"),
         _bad("signed 2 1\n0\x1f1 +\n", 2, 2, id="x1f"),
+        # the cursor over non-blank lines: end of input is reported at the
+        # last non-blank line (line 1 when there is none), and trailing input
+        # at its own line
+        _bad("signed 2 2\n0 1 +\n\n \t\n", 2, 1, id="eof-after-blank-lines"),
+        _bad("\n\n", 1, 1, id="eof-blank-only"),
+        _bad("", 1, 1, id="eof-empty"),
+        _bad("signed 2 2\r0 1 +\r", 2, 1, id="eof-cr"),
+        _bad("  \n\t\nsigned 2 2\n\n0 1 +\n", 5, 1, id="eof-after-leading-blanks"),
+        _bad("signed 2 1\n\n\n0 1 +\n\n\nsigned 1 0\n", 7, 1, id="trailing-after-blanks"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, column):
@@ -202,6 +211,8 @@ def test_serialize_canonical():
 def test_parse_skips_blank_lines():
     doc = parse("\nsigned 2 1\n\n0 1 +\n\n")
     assert doc.sigma == (PLUS,)
+    docs = parse_documents("signed 2 1\n\n0 1 +\n\n\nbidirected 1 0\n\n")
+    assert [type(d) for d in docs] == [SignedGraph, BidirectedGraph]
 
 
 @given(bidirected_graphs())
@@ -376,6 +387,20 @@ def test_random_command_roundtrips():
     assert serialize(parse(out)) == out
     code2, out2, _ = run_command(argv)
     assert out2 == out
+
+
+def test_random_command_vertex_limit():
+    # random writes only documents that parse takes back
+    too_many = MAX_VERTICES + 1
+    argv = ["random", "--vertices", str(too_many), "--edges", "1", "--seed", "1"]
+    limit = f"vertex count {too_many} exceeds the limit {MAX_VERTICES}"
+    assert run_command(argv) == (2, "", f"error: {limit}\n")
+    argv = ["random", "--vertices", str(MAX_VERTICES), "--edges", "3", "--loops", "--seed", "1"]
+    code, out, _ = run_command(argv)
+    assert code == 0
+    doc = parse(out)
+    assert (doc.graph.vertex_count, doc.graph.edge_count) == (MAX_VERTICES, 3)
+    assert serialize(doc) == out
 
 
 def test_random_command_impossible():

@@ -15,6 +15,7 @@ from bisign import (
     oriented_label,
     vertex_role,
 )
+from bisign.oracle import GraphEnumeration, enumerate_multigraphs
 
 from _strategies import dn_graphs, graphs
 
@@ -69,18 +70,41 @@ def test_build_triangle():
 def test_build_loop_has_two_half_edges():
     g = build_graph(1, [(0, 0)])
     hes = g.incidence[0]
-    assert hes == ((0, 0), (0, 1))
+    assert hes == (0, 1)
     assert hes[0] != hes[1]
-    # a loop at 1 between a parallel pair: half-edges are plain
-    # (edge id, side) tuples in that order at every vertex
+    # a loop at 1 between a parallel pair: half-edges are the ints
+    # 2 * edge id + side, ordered by edge id, then side, at every vertex
     g = build_graph(3, [(0, 1), (1, 1), (1, 0), (2, 0)])
     want = [[] for _ in range(g.vertex_count)]
     for e, ends in enumerate(g.edges):
         for side, v in enumerate(ends):
-            want[v].append((e, side))
+            want[v].append(2 * e + side)
     assert g.incidence == tuple(map(tuple, want))
-    assert g.incidence[1] == ((0, 1), (1, 0), (1, 1), (2, 0))
-    assert all(type(he) is tuple for hes in g.incidence for he in hes)
+    assert g.incidence[1] == (1, 2, 3, 4)
+    assert all(type(h) is int for hes in g.incidence for h in hes)
+
+
+def test_incidence_encoding_exhaustive():
+    # every small multigraph, as listed and with every edge reversed
+    checked = 0
+    for listed in enumerate_multigraphs(GraphEnumeration(4, 5)):
+        reversed_edges = [(v, u) for u, v in listed.edges]
+        for g in (listed, build_graph(listed.vertex_count, reversed_edges)):
+            for v, hes in enumerate(g.incidence):
+                for h in hes:
+                    e, side = h >> 1, h & 1
+                    assert g.edges[e][side] == v
+                    # the other half of the same edge is listed at its other end
+                    assert h ^ 1 in g.incidence[g.edges[e][1 - side]]
+                want = sorted(
+                    2 * e + side
+                    for e, ends in enumerate(g.edges)
+                    for side, x in enumerate(ends)
+                    if x == v
+                )
+                assert list(hes) == want
+            checked += 1
+    assert checked == 2 * 3_528
 
 
 def test_build_digon():

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from bisign import (
     verify_signature,
     vertex_role,
 )
-from bisign.oracle import uniformizable_by_enumeration
+from bisign.oracle import GraphEnumeration, enumerate_multigraphs, uniformizable_by_enumeration
 
 from _strategies import bidirected_graphs
 
@@ -29,6 +30,29 @@ from _strategies import bidirected_graphs
 def directed_cycle(k):
     g = build_graph(k, [(i, (i + 1) % k) for i in range(k)])
     return BidirectedGraph(g, ((MINUS, PLUS),) * k)
+
+
+def test_vertex_role_matches_end_signs_exhaustive():
+    # the role read straight from edges and beta, not from Graph.incidence
+    pairs = [(a, c) for a in (PLUS, MINUS) for c in (PLUS, MINUS)]
+    checked = 0
+    for g in enumerate_multigraphs(GraphEnumeration(3, 3)):
+        for beta in itertools.product(pairs, repeat=g.edge_count):
+            b = BidirectedGraph(g, beta)
+            ends = [set() for _ in range(g.vertex_count)]
+            for (u, v), (a, c) in zip(g.edges, beta):
+                ends[u].add(a)
+                ends[v].add(c)
+            for v, signs in enumerate(ends):
+                if not signs:
+                    want = VertexRole.ISOLATED
+                elif len(signs) == 2:
+                    want = VertexRole.MIXED
+                else:
+                    want = VertexRole.SINK if PLUS in signs else VertexRole.SOURCE
+                assert vertex_role(b, v) is want
+            checked += 1
+    assert checked == 4_780
 
 
 def test_vertex_role_sink_and_source():
