@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,14 +9,20 @@ from hypothesis import strategies as st
 from bisign import (
     MINUS,
     PLUS,
+    BalanceResult,
     BidirectedGraph,
+    CycleWitness,
     DnSignedGraph,
     Di2SignedGraph,
     Sign,
     SignedGraph,
     VertexRole,
+    VertexSignature,
     build_graph,
+    decompose_dn,
+    is_balanced,
     oriented_label,
+    uniformize,
     vertex_role,
 )
 from bisign.oracle import GraphEnumeration, enumerate_multigraphs
@@ -147,12 +157,113 @@ def test_oriented_label_errors():
 
 def test_overlay_validation():
     g = build_graph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        SignedGraph(g, ())
-    with pytest.raises(ValueError):
+    # a label tuple one short of the edge count, and one too long
+    for labels in ((), ((PLUS, MINUS),) * 2):
+        with pytest.raises(ValueError, match="^beta must cover every edge$"):
+            BidirectedGraph(g, labels)
+        with pytest.raises(ValueError, match="^sigma must cover every edge$"):
+            SignedGraph(g, tuple(a for a, _ in labels))
+        with pytest.raises(ValueError, match="^labels must cover every edge$"):
+            Di2SignedGraph(g, labels)
+        with pytest.raises(ValueError, match="^labels must cover every edge$"):
+            DnSignedGraph(2, g, labels)
+    with pytest.raises(ValueError, match="^n must be positive$"):
         DnSignedGraph(0, g, ((PLUS,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge 0: tuple length 1 != n=2$"):
         DnSignedGraph(2, g, ((PLUS,),))
+
+
+# every public value type: a builder (called twice, for two equal but
+# distinct values) and the value's pinned repr
+_G = "Graph(vertex_count=2, edges=((0, 1), (1, 1)))"
+_PM_MM = "((Sign('+'), Sign('-')), (Sign('-'), Sign('-')))"
+_LOOP = build_graph(2, [(0, 1), (1, 1)])
+VALUES = {
+    "Graph": (lambda: build_graph(2, [(0, 1), (1, 1)]), _G),
+    "BidirectedGraph": (
+        lambda: BidirectedGraph(_LOOP, ((PLUS, MINUS), (MINUS, MINUS))),
+        f"BidirectedGraph(graph={_G}, beta={_PM_MM})",
+    ),
+    "SignedGraph": (
+        lambda: SignedGraph(_LOOP, (PLUS, MINUS)),
+        f"SignedGraph(graph={_G}, sigma=(Sign('+'), Sign('-')))",
+    ),
+    "Di2SignedGraph": (
+        lambda: Di2SignedGraph(_LOOP, ((PLUS, MINUS), (MINUS, MINUS))),
+        f"Di2SignedGraph(graph={_G}, labels={_PM_MM})",
+    ),
+    "DnSignedGraph": (
+        lambda: DnSignedGraph(3, _LOOP, ((PLUS, PLUS, MINUS), (MINUS, PLUS, MINUS))),
+        f"DnSignedGraph(n=3, graph={_G}, labels=((Sign('+'), Sign('+'), Sign('-')), "
+        "(Sign('-'), Sign('+'), Sign('-'))))",
+    ),
+    "DnDecomposition": (
+        lambda: decompose_dn(
+            DnSignedGraph(3, _LOOP, ((PLUS, PLUS, MINUS), (MINUS, PLUS, MINUS)))
+        ),
+        f"DnDecomposition(bidirections=(BidirectedGraph(graph={_G}, beta={_PM_MM}),), "
+        f"center=SignedGraph(graph={_G}, sigma=(Sign('+'), Sign('+'))))",
+    ),
+    "VertexSignature": (
+        lambda: VertexSignature((PLUS, MINUS)),
+        "VertexSignature(mu=(Sign('+'), Sign('-')))",
+    ),
+    "CycleWitness": (
+        lambda: CycleWitness((1,), MINUS),
+        "CycleWitness(edges=(1,), sign=Sign('-'))",
+    ),
+    "BalanceResult-holds": (
+        lambda: is_balanced(SignedGraph(_LOOP, (MINUS, PLUS))),
+        "BalanceResult(signature=VertexSignature(mu=(Sign('+'), Sign('-'))), witness=None)",
+    ),
+    "BalanceResult-fails": (
+        lambda: BalanceResult(witness=CycleWitness((1,), MINUS)),
+        "BalanceResult(signature=None, witness=CycleWitness(edges=(1,), sign=Sign('-')))",
+    ),
+    "UniformizationResult-holds": (
+        lambda: uniformize(BidirectedGraph(_LOOP, ((PLUS, PLUS), (MINUS, MINUS)))),
+        f"UniformizationResult(reorient_set=frozenset({{1}}), uniform=BidirectedGraph("
+        f"graph={_G}, beta=((Sign('+'), Sign('+')), (Sign('+'), Sign('+')))), "
+        "signature=VertexSignature(mu=(Sign('+'), Sign('+'))), witness=None)",
+    ),
+    "UniformizationResult-fails": (
+        lambda: uniformize(BidirectedGraph(_LOOP, ((PLUS, MINUS), (MINUS, PLUS)))),
+        "UniformizationResult(reorient_set=None, uniform=None, signature=None, "
+        "witness=CycleWitness(edges=(1,), sign=Sign('+')))",
+    ),
+    "GraphEnumeration": (
+        lambda: GraphEnumeration(4, 5),
+        "GraphEnumeration(max_vertices=4, max_edges=5, allow_loops=True, "
+        "allow_parallel=True)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_type_contract(name):
+    build, want_repr = VALUES[name]
+    x, y = build(), build()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert repr(x) == want_repr
+    for f in dataclasses.fields(x):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, f.name, getattr(y, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, f.name)
+    assert dataclasses.replace(x) == x
+    first = dataclasses.fields(x)[0].name
+    assert dataclasses.replace(x, **{first: getattr(y, first)}) == x
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and hash(twin) == hash(x) and repr(twin) == want_repr
+    assert x == y  # no check above changed either value
+
+
+def test_overlays_of_one_pair_labeling_differ_by_type():
+    g = build_graph(2, [(0, 1)])
+    beta = ((PLUS, MINUS),)
+    assert BidirectedGraph(g, beta) != Di2SignedGraph(g, beta)
+    assert Di2SignedGraph(g, beta) != BidirectedGraph(g, beta)
+    assert len({BidirectedGraph(g, beta), BidirectedGraph(g, beta)}) == 1
 
 
 @given(dn_graphs(max_vertices=5, max_edges=6), st.integers(0, 100))
