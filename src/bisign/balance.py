@@ -21,21 +21,20 @@ of length 1 and 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
-from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId
+from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _setattr
 from .convert import negate_signed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSignature:
     """A total vertex sign labeling mu."""
 
     mu: tuple[Sign, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CycleWitness:
     """A cycle given as an edge sequence forming a closed walk with no
     repeated edge or vertex, together with its sign product."""
@@ -43,13 +42,25 @@ class CycleWitness:
     edges: tuple[EdgeId, ...]
     sign: Sign
 
+    def __init__(self, edges: tuple[EdgeId, ...], sign: Sign):
+        _setattr(self, "edges", edges)
+        _setattr(self, "sign", sign)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class BalanceResult:
     """Either a certifying signature or a violating cycle, never both."""
 
-    signature: Optional[VertexSignature] = None
-    witness: Optional[CycleWitness] = None
+    signature: Optional[VertexSignature]
+    witness: Optional[CycleWitness]
+
+    def __init__(
+        self,
+        signature: Optional[VertexSignature] = None,
+        witness: Optional[CycleWitness] = None,
+    ):
+        _setattr(self, "signature", signature)
+        _setattr(self, "witness", witness)
 
     @property
     def holds(self) -> bool:
@@ -110,7 +121,7 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
             mu[w] = MINUS if same is PLUS else PLUS
 
     # every non-tree edge closes a fundamental cycle; check them in id order
-    for e in compress(range(len(edges)), nontree):
+    for e in nontree:
         u, v = edges[e]
         # sigma(e) = mu(u) * mu(v)
         if (sigma[e] is PLUS) == (mu[u] is mu[v]):
@@ -126,9 +137,9 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
             else:
                 pv.append(parent_edge[v])
                 v = parent_vertex[v]
-        return BalanceResult(witness=CycleWitness((e, *pv, *reversed(pu)), MINUS))
+        return BalanceResult(None, CycleWitness((e, *pv, *reversed(pu)), MINUS))
 
-    return BalanceResult(signature=VertexSignature(tuple(mu)))
+    return BalanceResult(VertexSignature(tuple(mu)))
 
 
 def is_antibalanced(s: SignedGraph) -> BalanceResult:
@@ -139,11 +150,12 @@ def is_antibalanced(s: SignedGraph) -> BalanceResult:
     condition, with its sign taken in s.
     """
     r = is_balanced(negate_signed(s))
+    w = r.witness
     # the witness is negative in the negated graph; negating every edge keeps
     # an even cycle's sign and makes an odd one positive
-    if r.witness is None or len(r.witness.edges) % 2 == 0:
+    if w is None or len(w.edges) % 2 == 0:
         return r
-    return BalanceResult(witness=CycleWitness(r.witness.edges, PLUS))
+    return BalanceResult(None, CycleWitness(w.edges, PLUS))
 
 
 def verify_signature(s: SignedGraph, mu: VertexSignature, mode: str) -> bool:

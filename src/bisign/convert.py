@@ -51,7 +51,7 @@ def induced_signed(d: Di2SignedGraph) -> SignedGraph:
     return negate_signed(associated_signed(di2_to_bidirected(d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnDecomposition:
     """An n-tuple labeling split into floor(n/2) bidirections over one shared
     graph, plus a center signed graph exactly when n is odd."""

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Union
 
 VertexId = int
@@ -57,6 +57,8 @@ PLUS = Sign.PLUS
 MINUS = Sign.MINUS
 
 
+# not slotted: the cached ``incidence`` and ``_forest`` live in the
+# instance ``__dict__``
 @dataclass(frozen=True)
 class Graph:
     """A multigraph: loops and parallel edges allowed, vertices 0..n-1.
@@ -96,14 +98,14 @@ class Graph:
         return tuple(inc)
 
     @cached_property
-    def _forest(self) -> tuple[array, array, array, array, bytes]:
+    def _forest(self) -> tuple[array, array, array, array, array]:
         """The breadth-first spanning forest, which depends on the graph
         alone: each component's root is its lowest-id vertex, and a vertex
         scans its half-edges in ``incidence`` order.
 
         Returns the non-root vertices in discovery order; each vertex's
-        parent edge, parent vertex (-1 at a root) and depth; and a byte per
-        edge, 1 on the non-tree edges.
+        parent edge, parent vertex (-1 at a root) and depth; and the ids of
+        the non-tree edges in increasing order.
         """
         n = self.vertex_count
         edges = self.edges
@@ -134,7 +136,8 @@ class Graph:
                         nontree[e] = 0
                         order.append(w)
                         queue.append(w)
-        return order, parent_edge, parent_vertex, depth, bytes(nontree)
+        nontree_ids = array("i", compress(range(len(edges)), nontree))
+        return order, parent_edge, parent_vertex, depth, nontree_ids
 
 
 def build_graph(
@@ -159,7 +162,12 @@ def build_graph(
     return Graph(vertex_count, edges)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
+# the explicit __init__ of a frozen value type stores each field through
+# this, past the frozen __setattr__
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class BidirectedGraph:
     """A graph plus a sign on every half-edge (the bidirection).
 
@@ -170,24 +178,28 @@ class BidirectedGraph:
     graph: Graph
     beta: tuple[tuple[Sign, Sign], ...]
 
-    def __post_init__(self):
-        if len(self.beta) != len(self.graph.edges):
+    def __init__(self, graph: Graph, beta: tuple[tuple[Sign, Sign], ...]):
+        if len(beta) != len(graph.edges):
             raise ValueError("beta must cover every edge")
+        _setattr(self, "graph", graph)
+        _setattr(self, "beta", beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SignedGraph:
     """A graph plus a sign on every edge."""
 
     graph: Graph
     sigma: tuple[Sign, ...]
 
-    def __post_init__(self):
-        if len(self.sigma) != len(self.graph.edges):
+    def __init__(self, graph: Graph, sigma: tuple[Sign, ...]):
+        if len(sigma) != len(graph.edges):
             raise ValueError("sigma must cover every edge")
+        _setattr(self, "graph", graph)
+        _setattr(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Di2SignedGraph:
     """A graph whose edges carry an ordered sign pair that reverses with
     the reading direction.  Stored relative to the canonical orientation."""
@@ -195,12 +207,14 @@ class Di2SignedGraph:
     graph: Graph
     labels: tuple[tuple[Sign, Sign], ...]
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.graph.edges):
+    def __init__(self, graph: Graph, labels: tuple[tuple[Sign, Sign], ...]):
+        if len(labels) != len(graph.edges):
             raise ValueError("labels must cover every edge")
+        _setattr(self, "graph", graph)
+        _setattr(self, "labels", labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DnSignedGraph:
     """A graph whose edges carry a length-n sign tuple that reverses (as a
     sequence) with the reading direction."""
@@ -209,14 +223,17 @@ class DnSignedGraph:
     graph: Graph
     labels: tuple[tuple[Sign, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, graph: Graph, labels: tuple[tuple[Sign, ...], ...]):
+        if n < 1:
             raise ValueError("n must be positive")
-        if len(self.labels) != len(self.graph.edges):
+        if len(labels) != len(graph.edges):
             raise ValueError("labels must cover every edge")
-        for e, t in enumerate(self.labels):
-            if len(t) != self.n:
-                raise ValueError(f"edge {e}: tuple length {len(t)} != n={self.n}")
+        for e, t in enumerate(labels):
+            if len(t) != n:
+                raise ValueError(f"edge {e}: tuple length {len(t)} != n={n}")
+        _setattr(self, "n", n)
+        _setattr(self, "graph", graph)
+        _setattr(self, "labels", labels)
 
 
 def oriented_label(

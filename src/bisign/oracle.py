@@ -12,6 +12,7 @@ record) are shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Optional
 
@@ -28,7 +29,7 @@ from .core import (
 from .balance import CycleWitness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphEnumeration:
     """Bounds for sweeping every labeled multigraph (not isomorphism-reduced)."""
 
@@ -161,6 +162,22 @@ def antibalanced_by_cycles(s: SignedGraph) -> bool:
     return True
 
 
+# a sweep checks every labeling of one graph before the next, so the last
+# m's tables are the ones reused
+@lru_cache(maxsize=1)
+def _subset_tables(m: int) -> tuple[int, tuple[int, ...]]:
+    """The 2^m-bit set of all subsets, and ``flipped[e]`` for each edge."""
+    full = (1 << (1 << m)) - 1
+    # flipped[e] repeats 2^e clear bits then 2^e set bits; each is the
+    # one above it XORed with itself shifted down by 2^e
+    flipped = [0] * m
+    bits = full
+    for e in reversed(range(m)):
+        bits ^= bits >> (1 << e)
+        flipped[e] = bits
+    return full, tuple(flipped)
+
+
 def uniformizable_by_enumeration(
     b: BidirectedGraph, max_edges: int = 20
 ) -> Optional[frozenset[EdgeId]]:
@@ -179,14 +196,7 @@ def uniformizable_by_enumeration(
     m = g.edge_count
     if m > max_edges:
         raise ValueError(f"edge count {m} exceeds enumeration bound {max_edges}")
-    full = (1 << (1 << m)) - 1
-    # flipped[e] repeats 2^e clear bits then 2^e set bits; each is the
-    # one above it XORed with itself shifted down by 2^e
-    flipped = [0] * m
-    bits = full
-    for e in reversed(range(m)):
-        bits ^= bits >> (1 << e)
-        flipped[e] = bits
+    full, flipped = _subset_tables(m)
     beta = b.beta
     ok = full
     for hes in g.incidence:

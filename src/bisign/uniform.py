@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .core import MINUS, PLUS, BidirectedGraph, EdgeId, VertexId
+from .core import MINUS, PLUS, BidirectedGraph, EdgeId, VertexId, _setattr
 from .convert import associated_signed
 from .balance import CycleWitness, VertexSignature, is_antibalanced
 
@@ -26,16 +26,28 @@ class VertexRole(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UniformizationResult:
     """Either a reorientation certificate (edge set, the resulting uniform
     graph, and the source/sink signature) or a violating cycle of the
     associated signed graph."""
 
-    reorient_set: Optional[frozenset[EdgeId]] = None
-    uniform: Optional[BidirectedGraph] = None
-    signature: Optional[VertexSignature] = None
-    witness: Optional[CycleWitness] = None
+    reorient_set: Optional[frozenset[EdgeId]]
+    uniform: Optional[BidirectedGraph]
+    signature: Optional[VertexSignature]
+    witness: Optional[CycleWitness]
+
+    def __init__(
+        self,
+        reorient_set: Optional[frozenset[EdgeId]] = None,
+        uniform: Optional[BidirectedGraph] = None,
+        signature: Optional[VertexSignature] = None,
+        witness: Optional[CycleWitness] = None,
+    ):
+        _setattr(self, "reorient_set", reorient_set)
+        _setattr(self, "uniform", uniform)
+        _setattr(self, "signature", signature)
+        _setattr(self, "witness", witness)
 
     @property
     def holds(self) -> bool:
@@ -94,8 +106,8 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     reorientation set.  mu marks sinks + and sources - (isolated vertices +).
     """
     r = is_antibalanced(associated_signed(b))
-    if not r.holds:
-        return UniformizationResult(witness=r.witness)
+    if r.witness is not None:
+        return UniformizationResult(None, None, None, r.witness)
     mu = r.signature.mu
     target = tuple([_PAIRS[mu[u], mu[v]] for u, v in b.graph.edges])
     # sigma equality forces the two graphs to differ on both ends or neither,
@@ -106,6 +118,4 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     uniform = BidirectedGraph(b.graph, target)
     if reorient(b, flips).beta != target:
         raise AssertionError("reorienting the flip set does not give the uniform graph")
-    return UniformizationResult(
-        reorient_set=flips, uniform=uniform, signature=r.signature
-    )
+    return UniformizationResult(flips, uniform, r.signature)

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import pickle
+from array import array
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -25,6 +27,7 @@ from bisign import (
     uniformize,
     vertex_role,
 )
+from bisign.generate import SplitMix64, random_bidirected
 from bisign.oracle import GraphEnumeration, enumerate_multigraphs
 
 from _strategies import dn_graphs, graphs
@@ -115,6 +118,65 @@ def test_incidence_encoding_exhaustive():
                 assert list(hes) == want
             checked += 1
     assert checked == 2 * 3_528
+
+
+def _reference_forest(g):
+    """The BFS spanning forest with a queue: roots in increasing id, and
+    each vertex's (edge, side) pairs, built here from ``edges``, scanned by
+    edge id, then side.  Returns the non-root vertices in discovery order,
+    each vertex's parent edge, parent vertex and depth, and the non-tree
+    edge ids in increasing order."""
+    n = g.vertex_count
+    incident = [[] for _ in range(n)]
+    for e, ends in enumerate(g.edges):
+        for side, x in enumerate(ends):
+            incident[x].append((e, side))
+    seen = [False] * n
+    order, tree = [], set()
+    parent_edge, parent_vertex, depth = [-1] * n, [-1] * n, [0] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for e, side in incident[u]:
+                w = g.edges[e][1 - side]
+                if not seen[w]:
+                    seen[w] = True
+                    parent_edge[w], parent_vertex[w], depth[w] = e, u, depth[u] + 1
+                    tree.add(e)
+                    order.append(w)
+                    queue.append(w)
+    nontree = [e for e in range(len(g.edges)) if e not in tree]
+    return order, parent_edge, parent_vertex, depth, nontree
+
+
+def _check_forest(g):
+    forest = g._forest
+    assert all(type(a) is array and a.typecode == "i" for a in forest)
+    assert [a.tolist() for a in forest] == list(_reference_forest(g))
+
+
+def test_forest_matches_reference_bfs():
+    # every small multigraph, as listed and with every edge reversed
+    checked = 0
+    for listed in enumerate_multigraphs(GraphEnumeration(4, 5)):
+        reversed_edges = [(v, u) for u, v in listed.edges]
+        for g in (listed, build_graph(listed.vertex_count, reversed_edges)):
+            _check_forest(g)
+            checked += 1
+    assert checked == 2 * 3_528
+    # larger seeded graphs with loops, parallel edges and isolated vertices
+    isolated = 0
+    for seed in range(40):
+        rng = SplitMix64(seed)
+        n = 1 + rng.below(400)
+        g = random_bidirected(n, rng.below(n + 1), True, True, seed).graph
+        _check_forest(g)
+        isolated += sum(not hes for hes in g.incidence)
+    assert isolated > 0
 
 
 def test_build_digon():
