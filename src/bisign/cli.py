@@ -79,6 +79,9 @@ MAX_VERTICES = 1_000_000
 # no edges, so it is bounded apart from the input's length.
 MAX_TUPLE_LENGTH = 1_000
 
+# sign tokens per edge line of each kind; a dn document's n is in its header
+_SIGN_COUNT = {"signed": 1, "bidirected": 2, "di2": 2}
+
 
 class ParseError(ValueError):
     def __init__(self, line: int, column: int, message: str):
@@ -183,7 +186,7 @@ def _parse_one(lines: _Lines) -> Overlay:
         raise _fail(lineno, header, i + 2, "trailing tokens after header")
 
     # edge lines hold two endpoints, then the sign tokens up to token ``end``
-    end = 2 + {"signed": 1, "bidirected": 2, "di2": 2, "dn": n}[kind]
+    end = 2 + _SIGN_COUNT.get(kind, n)
     # sign tokens already validated in this document, mapped to the stored
     # label (a bare Sign for signed); edges with equal tokens share one label
     validated: dict[tuple[str, ...], Union[Sign, tuple[Sign, ...]]] = {}
@@ -209,19 +212,82 @@ def _parse_one(lines: _Lines) -> Overlay:
     if len(pairs) < ecount:
         # lineno is the last non-blank line: the header's, or the last edge's
         raise ParseError(lineno, 1, "unexpected end of input")
+    return _overlay(kind, n, vcount, pairs, rows)
 
+
+def _overlay(kind: str, n: int, vcount: int, pairs: list, rows: list) -> Overlay:
     g = build_graph(vcount, pairs)
     if kind == "dn":
         return DnSignedGraph(n, g, tuple(rows))
     return OVERLAYS[kind](g, tuple(rows))
 
 
+# the text serialize writes: a header, then per edge two endpoints and the
+# signs, single spaces, every line ending in LF ([0-9], as \d takes any
+# digit); compiled on first use, through re's cache, to keep imports fast
+_CANONICAL_HEADER = r"(?:(signed|bidirected|di2)|dn ([0-9]{1,4})) ([0-9]{1,7}) ([0-9]{1,9})\n"
+_CANONICAL_EDGES = r"(?:[0-9]{1,7} [0-9]{1,7}%s\n)*"
+_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
+
+
+class _SignTuples(dict):
+    """Sign tokens -> signs, one shared tuple per distinct tuple of tokens."""
+
+    def __missing__(self, key: tuple[str, ...]) -> tuple[Sign, ...]:
+        signs = self[key] = tuple(map(_SIGNS.__getitem__, key))
+        return signs
+
+
+def _parse_canonical(text: str) -> Optional[Overlay]:
+    """The overlay of a document exactly as ``serialize`` writes it, or None
+    for any other text.  The edge lines are matched and split in chunks of
+    about 64 KiB, so the token lists stay small."""
+    head = re.match(_CANONICAL_HEADER, text)
+    if head is None:
+        return None
+    kind = head[1] or "dn"
+    n, vcount, ecount = int(head[2] or 0), int(head[3]), int(head[4])
+    if vcount > MAX_VERTICES or (kind == "dn" and not 1 <= n <= MAX_TUPLE_LENGTH):
+        return None
+    width = 2 + _SIGN_COUNT.get(kind, n)
+    edges = re.compile(_CANONICAL_EDGES % (" [+-]" * (width - 2)))
+    labels = _SignTuples()
+    pairs: list[tuple[int, int]] = []
+    rows: list = []
+    top = -1
+    pos = head.end()
+    while pos < len(text):
+        end = text.find("\n", pos + 0xFFFF) + 1 or len(text)
+        chunk = text[pos:end]
+        if edges.fullmatch(chunk) is None:
+            return None
+        tokens = chunk.split()
+        us = list(map(int, tokens[0::width]))
+        vs = list(map(int, tokens[1::width]))
+        top = max(top, max(us), max(vs))
+        pairs += zip(us, vs)
+        if kind == "signed":
+            rows += map(_SIGNS.__getitem__, tokens[2::3])
+        else:
+            rows += map(labels.__getitem__, zip(*[tokens[i::width] for i in range(2, width)]))
+        pos = end
+    if top >= vcount or len(pairs) != ecount:
+        return None
+    return _overlay(kind, n, vcount, pairs, rows)
+
+
 def parse(text: str) -> Overlay:
     """Parse exactly one document into its overlay; strict about every token.
 
-    Each distinct tuple of sign tokens is validated once per document; later
-    edges with the same tokens reuse the validated signs.
+    Canonical text, exactly as ``serialize`` writes it, is matched and
+    converted in bulk.  Any other text goes through the line parser, the
+    only source of ``ParseError``; it validates each distinct tuple of sign
+    tokens once per document, and later edges with the same tokens reuse the
+    validated signs.
     """
+    doc = _parse_canonical(text)
+    if doc is not None:
+        return doc
     lines = _Lines(text)
     doc = _parse_one(lines)
     if not lines.exhausted():
@@ -318,9 +384,9 @@ def _run_antibalance(s: SignedGraph, ns: argparse.Namespace, out: TextIO) -> int
     return _balance_certificate(is_antibalanced(s), "antibalanced", out)
 
 
-def _read_input(path: Optional[str], stdin: TextIO) -> str:
+def _read_input(path: Optional[str], stdin_text: Optional[str]) -> str:
     if path is None or path == "-":
-        return stdin.read()
+        return sys.stdin.read() if stdin_text is None else stdin_text
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -369,8 +435,8 @@ def _run_export_dot(x: Overlay, ns: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _run_compose(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
-    docs = parse_documents(_read_input(ns.file, stdin))
+def _run_compose(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO) -> int:
+    docs = parse_documents(_read_input(ns.file, stdin_text))
     if not docs:
         raise ValueError("compose needs at least one document")
     center = docs.pop() if type(docs[-1]) is SignedGraph else None
@@ -382,7 +448,7 @@ def _run_compose(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     return 0
 
 
-def _run_random(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
+def _run_random(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO) -> int:
     # write only what parse takes back
     if ns.vertices > MAX_VERTICES:
         raise ValueError(f"vertex count {ns.vertices} exceeds the limit {MAX_VERTICES}")
@@ -393,8 +459,9 @@ def _run_random(ns: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
 
 # subcommand -> (help, document kinds it takes, handler).  The handler gets the
 # parsed overlay, the arguments and stdout; with kinds None (compose, random),
-# the arguments, stdin and stdout.  Handlers look up the library functions they
-# call in this module at call time, so a wrapper installed here sees the call.
+# the arguments, run_command's stdin_text and stdout.  Handlers look up the
+# library functions they call in this module at call time, so a wrapper
+# installed here sees the call.
 COMMANDS = {
     "convert": ("convert between kinds", KINDS, _run_convert),
     "check-balance": ("balance check on a signed graph", ("signed",), _run_balance),
@@ -442,7 +509,6 @@ def run_command(
     """
     out = io.StringIO()
     err = io.StringIO()
-    stdin_stream: TextIO = sys.stdin if stdin_text is None else io.StringIO(stdin_text)
     ap = _build_argparser()
     try:
         # argparse prints its usage errors and --help text, then exits
@@ -454,9 +520,9 @@ def run_command(
     _, kinds, handler = COMMANDS[ns.command]
     try:
         if kinds is None:
-            code = handler(ns, stdin_stream, out)
+            code = handler(ns, stdin_text, out)
         else:
-            x = parse(_read_input(ns.file, stdin_stream))
+            x = parse(_read_input(ns.file, stdin_text))
             kind = _KIND[type(x)]
             if kind not in kinds:
                 raise ValueError(f"{ns.command} needs a {' or '.join(kinds)} document, got {kind}")

@@ -26,6 +26,7 @@ from bisign.cli import (
     MAX_TUPLE_LENGTH,
     MAX_VERTICES,
     ParseError,
+    _parse_canonical,
     export_dot,
     main,
     parse,
@@ -36,7 +37,7 @@ from bisign.cli import (
 from bisign.core import Sign
 from bisign.generate import random_bidirected
 
-from _strategies import bidirected_graphs, dn_graphs, signed_graphs
+from _strategies import bidirected_graphs, di2_graphs, dn_graphs, signed_graphs
 
 
 def test_parse_bidirected():
@@ -200,6 +201,83 @@ def test_parse_is_total(text):
     for x in docs:
         assert type(x) in (SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph)
         assert parse(serialize(x)) == x
+
+
+def _same_parse(x, text):
+    # the line parser's result for a text of one document
+    (y,) = parse_documents(text)
+    assert y == x and type(y) is type(x)
+
+
+@settings(max_examples=300)
+@given(_near_document())
+def test_bulk_parse_agrees_with_line_parser(text):
+    x = _parse_canonical(text)
+    if x is not None:
+        _same_parse(x, text)
+
+
+@given(st.one_of(signed_graphs(), bidirected_graphs(), di2_graphs(), dn_graphs()))
+def test_bulk_parse_takes_serialize_output(x):
+    text = serialize(x)
+    y = _parse_canonical(text)
+    assert y == x
+    _same_parse(y, text)
+
+
+def test_bulk_parse_takes_serialize_output_in_chunks():
+    # about 135 KB of text: the edge lines are matched in three chunks
+    b = random_bidirected(5000, 10000, True, True, 7)
+    text = serialize(b)
+    assert len(text) > 2 * 2**16
+    x = _parse_canonical(text)
+    assert x == b
+    _same_parse(x, text)
+
+
+@pytest.mark.parametrize("text,labels", [
+    ("dn 1 2 1\n0 1 -\n", ((MINUS,),)),
+    ("dn 2 2 2\n0 1 + -\n1 1 - -\n", ((PLUS, MINUS), (MINUS, MINUS))),
+])
+def test_bulk_parse_dn_labels_are_tuples(text, labels):
+    x = _parse_canonical(text)
+    assert type(x) is DnSignedGraph and x.labels == labels
+    assert all(type(t) is tuple for t in x.labels)
+    _same_parse(x, text)
+
+
+_CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
+
+
+@pytest.mark.parametrize("text,error", [
+    # not canonical, but a valid document: the line parser reads it
+    (_CANON.replace("\n", "\r\n"), None),
+    (_CANON.replace("0 1", "0\t1"), None),
+    (_CANON.replace("0 1", "0  1"), None),
+    (_CANON.replace("-\n1", "-\n\n1"), None),
+    (_CANON[:-1], None),
+    (_CANON.replace("1 2", "00000001 2"), None),
+    # invalid: the line parser reports it
+    (_CANON.replace("1 2", "1 3"), (3, 3, "vertex 3 out of range (< 3)")),
+    (_CANON + "2 0 + +\n", (4, 1, "trailing input after document")),
+    (_CANON.replace("1 2 - +\n", ""), (2, 1, "unexpected end of input")),
+    (_CANON + "signed 1 0\n", (4, 1, "trailing input after document")),
+    ("dn 0 2 1\n0 1\n", (1, 4, "tuple length n must be >= 1")),
+    (f"bidirected {MAX_VERTICES + 1} 1\n0 1 + -\n",
+     (1, 12, f"vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}")),
+    (_CANON.replace("1 2", "1 \u0662"),
+     (3, 3, "endpoint must be a nonnegative integer, got '\u0662'")),
+])
+def test_bulk_parse_declines_near_canonical(text, error):
+    assert _parse_canonical(text) is None
+    if error is None:
+        assert parse(text) == parse(_CANON)
+        return
+    line, column, message = error
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.column) == (line, column)
+    assert str(e.value) == f"line {line}, column {column}: {message}"
 
 
 def test_serialize_canonical():
@@ -477,3 +555,17 @@ def test_cli_does_not_load_the_oracle():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_main_reads_the_process_stdin():
+    # the README example, through a real stdin rather than run_command's text
+    src = pathlib.Path(sys.modules["bisign.cli"].__file__).parents[1]
+    code = "from bisign.cli import main; main(['uniformize'])"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {code}"],
+        input="bidirected 3 3\n0 1 - +\n1 2 - +\n2 0 - +\n",
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "not-uniformizable\nwitness + 1 2 0\n", ""
+    )
