@@ -243,7 +243,8 @@ def _parse_canonical(text: str) -> Optional[Overlay]:
     for any other text.  The edge lines are matched and split in chunks of
     about 64 KiB, so the token lists stay small."""
     head = re.match(_CANONICAL_HEADER, text)
-    if head is None:
+    # a missing final LF is found before the whole body is matched
+    if head is None or text[-1] != "\n":
         return None
     kind = head[1] or "dn"
     n, vcount, ecount = int(head[2] or 0), int(head[3]), int(head[4])
