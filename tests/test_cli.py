@@ -1,7 +1,10 @@
 import itertools
 import pathlib
+import random
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +24,14 @@ from bisign import (
     reorient,
     verify_signature,
 )
+from bisign import cli
 from bisign.balance import CycleWitness
 from bisign.cli import (
     MAX_TUPLE_LENGTH,
     MAX_VERTICES,
     ParseError,
-    _parse_canonical,
+    _parse_bulk,
+    _parse_lines,
     export_dot,
     main,
     parse,
@@ -205,24 +210,83 @@ def test_parse_is_total(text):
 
 def _same_parse(x, text):
     # the line parser's result for a text of one document
-    (y,) = parse_documents(text)
+    (y,) = _parse_lines(text)
     assert y == x and type(y) is type(x)
 
 
-@settings(max_examples=300)
-@given(_near_document())
+class _LineParserRan(Exception):
+    """Raised in place of the line parser: the bulk parser declined a text."""
+
+
+def _no_line_parser():
+    # the line parser's first step raises instead; not a ValueError, so it
+    # also passes through run_command
+    return mock.patch.object(cli, "_rows", side_effect=_LineParserRan)
+
+
+def _bulk_only(parse_text, text):
+    # parse or parse_documents through the bulk parser alone; None where it
+    # declines the text
+    with _no_line_parser():
+        try:
+            return parse_text(text)
+        except _LineParserRan:
+            return None
+
+
+_SPACE = st.sampled_from([" ", " ", "\t", "  ", " \t "])
+_LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+# what may follow a line end: mostly nothing, else blank and whitespace-only lines
+_BLANK_LINES = st.sampled_from(["", "", "", "\n", " \t\r\n", "\r\r\n\t"])
+
+
+@st.composite
+def _respaced(draw, texts):
+    """A text of ``texts`` with its spaces and LFs redrawn from the rest of the
+    grammar: runs of spaces and tabs; LF, CRLF or CR line ends; blank and
+    whitespace-only lines, also before the first line; maybe no final line
+    end; and now and then an integer zero-padded or 5,000 digits long."""
+    text = draw(texts)
+    if text.endswith("\n") and draw(st.booleans()):
+        text = text[:-1]
+    out = [draw(_BLANK_LINES)]
+    for piece in re.split(r"([ \n])", text):
+        if piece == " ":
+            piece = draw(_SPACE)
+        elif piece == "\n":
+            piece = draw(_LINE_END) + draw(_BLANK_LINES)
+        elif re.fullmatch("[0-9]+", piece):
+            piece = draw(st.sampled_from([piece] * 40 + ["0" + piece, "000" + piece, "9" * 5000, piece]))
+        out.append(piece)
+    return "".join(out)
+
+
+# streams of one or two documents that serialize wrote
+_SERIALIZED = st.lists(
+    st.one_of(signed_graphs(), bidirected_graphs(), di2_graphs(), dn_graphs()).map(serialize),
+    min_size=1, max_size=2,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(_respaced(st.one_of(_NEAR_DOCUMENTS, _SERIALIZED)))
 def test_bulk_parse_agrees_with_line_parser(text):
-    x = _parse_canonical(text)
-    if x is not None:
-        _same_parse(x, text)
+    # with the line parser switched off, parse_documents gives the line
+    # parser's overlays wherever it accepts the text, and declines wherever it
+    # raises; parse does the same for a text of exactly one document
+    try:
+        want = _parse_lines(text)
+    except ParseError:
+        want = None
+    assert _bulk_only(parse_documents, text) == want
+    assert _bulk_only(parse, text) == (want[0] if want and len(want) == 1 else None)
 
 
 @given(st.one_of(signed_graphs(), bidirected_graphs(), di2_graphs(), dn_graphs()))
 def test_bulk_parse_takes_serialize_output(x):
     text = serialize(x)
-    y = _parse_canonical(text)
-    assert y == x
-    _same_parse(y, text)
+    assert _parse_bulk(text, 0) == (x, len(text))
+    _same_parse(x, text)
 
 
 def test_bulk_parse_takes_serialize_output_in_chunks():
@@ -230,9 +294,20 @@ def test_bulk_parse_takes_serialize_output_in_chunks():
     b = random_bidirected(5000, 10000, True, True, 7)
     text = serialize(b)
     assert len(text) > 2 * 2**16
-    x = _parse_canonical(text)
-    assert x == b
-    _same_parse(x, text)
+    assert _parse_bulk(text, 0) == (b, len(text))
+    _same_parse(b, text)
+
+
+@pytest.mark.parametrize("edges", [3 * (cli._CHUNK // 4), 10000])
+@pytest.mark.parametrize("line_end", ["\r", "\r\n", "\n\n \t\r\n\t"], ids=["cr", "crlf", "blank-run"])
+def test_bulk_parse_chunk_boundaries(line_end, edges):
+    # over 128 KiB of edge lines in several chunks, the last one full or not,
+    # with and without the final line end
+    b = random_bidirected(5000, edges, True, True, 7)
+    text = serialize(b).replace("\n", line_end)
+    assert len(text) > 2 * 2**16
+    assert _bulk_only(parse, text) == b
+    assert _bulk_only(parse, text.rstrip("\r\n\t ")) == b
 
 
 @pytest.mark.parametrize("text,labels", [
@@ -240,7 +315,7 @@ def test_bulk_parse_takes_serialize_output_in_chunks():
     ("dn 2 2 2\n0 1 + -\n1 1 - -\n", ((PLUS, MINUS), (MINUS, MINUS))),
 ])
 def test_bulk_parse_dn_labels_are_tuples(text, labels):
-    x = _parse_canonical(text)
+    x, _ = _parse_bulk(text, 0)
     assert type(x) is DnSignedGraph and x.labels == labels
     assert all(type(t) is tuple for t in x.labels)
     _same_parse(x, text)
@@ -250,7 +325,7 @@ _CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
 
 
 @pytest.mark.parametrize("text,error", [
-    # not canonical, but a valid document: the line parser reads it
+    # valid, though not canonical: parsed in bulk
     (_CANON.replace("\n", "\r\n"), None),
     (_CANON.replace("0 1", "0\t1"), None),
     (_CANON.replace("0 1", "0  1"), None),
@@ -269,10 +344,13 @@ _CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
      (3, 3, "endpoint must be a nonnegative integer, got '\u0662'")),
 ])
 def test_bulk_parse_declines_near_canonical(text, error):
-    assert _parse_canonical(text) is None
+    # the bulk parser takes the valid texts and declines the others, which
+    # the line parser reports
     if error is None:
-        assert parse(text) == parse(_CANON)
+        assert _bulk_only(parse, text) == parse(_CANON)
+        _same_parse(parse(text), text)
         return
+    assert _bulk_only(parse, text) is None
     line, column, message = error
     with pytest.raises(ParseError) as e:
         parse(text)
@@ -456,6 +534,31 @@ def test_decompose_compose_roundtrip_via_cli():
     assert [type(d) for d in docs] == [BidirectedGraph, BidirectedGraph, SignedGraph]
     code, back, _ = run_command(["compose"], out)
     assert code == 0 and back == text
+
+
+def test_compose_reads_large_decompose_output_in_bulk():
+    # each of the three documents spans chunks
+    g = random_bidirected(5000, 10000, True, True, 11).graph
+    rng = random.Random(5)
+    labels = tuple(tuple(rng.choice((PLUS, MINUS)) for _ in range(5)) for _ in g.edges)
+    text = serialize(DnSignedGraph(5, g, labels))
+    code, out, _ = run_command(["decompose"], text)
+    assert code == 0
+    assert [len(doc) > 2**16 for doc in re.split(r"\n(?=[a-z])", out)] == [True] * 3
+    with _no_line_parser():
+        assert run_command(["compose"], out) == (0, text, "")
+
+
+def test_valid_text_never_reaches_the_line_parser():
+    b = random_bidirected(2000, 5000, True, True, 3)
+    text = serialize(b)
+    stream = run_command(["decompose"], "dn 5 3 2\n0 1 + - - + +\n1 2 - - + + -\n")[1]
+    docs = _parse_lines(stream)
+    with _no_line_parser():
+        for variant in (text, text.replace(" ", "\t"), text.replace("\n", "\r\n"), text + "\n"):
+            assert parse(variant) == b
+        assert parse_documents(stream) == docs
+        assert parse_documents(" \r\n\t\n") == []
 
 
 def test_random_command_roundtrips():
