@@ -34,6 +34,7 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain, islice
 from typing import Iterable, Optional, TextIO, Union
 
 from .core import (
@@ -311,6 +312,17 @@ def _signs_text(signs: Iterable[Sign]) -> str:
     return " ".join(map(_SIGN_TEXT.__getitem__, signs))
 
 
+# rows per block of output text: rows are formatted and joined a block at a
+# time, so building a text holds about twice its length, not a string per row
+_BLOCK = 4096
+
+
+def _joined(*parts: Iterable[str]) -> str:
+    """The rows of ``parts`` (each non-empty) concatenated, a block at a time."""
+    rows = chain(*parts)
+    return "".join(iter(lambda: "".join(islice(rows, _BLOCK)), ""))
+
+
 def serialize(x: Overlay) -> str:
     """Canonical text of an overlay, headed by its kind: LF newlines, single
     spaces, edges in id order."""
@@ -323,11 +335,8 @@ def serialize(x: Overlay) -> str:
     else:
         labels = x.beta if isinstance(x, BidirectedGraph) else x.labels
         text = {t: _signs_text(t) for t in set(labels)}
-    rows = [f"{kind}{n} {g.vertex_count} {g.edge_count}"]
-    rows += [f"{u} {v} {text[t]}" for (u, v), t in zip(g.edges, labels)]
-    # the empty last row ends the text in a newline without a second copy
-    rows.append("")
-    return "\n".join(rows)
+    head = f"{kind}{n} {g.vertex_count} {g.edge_count}\n"
+    return _joined([head], (f"{u} {v} {text[t]}\n" for (u, v), t in zip(g.edges, labels)))
 
 
 _ARROW = {Sign.PLUS: "normal", Sign.MINUS: "inv"}
@@ -345,15 +354,15 @@ def export_dot(x: Overlay) -> str:
     graph, arrow = "digraph", "->"
     if isinstance(x, SignedGraph):
         graph, arrow = "graph", "--"
-        attrs = [f'label="{s}"' for s in x.sigma]
+        attrs = (f'label="{s}"' for s in x.sigma)
     elif isinstance(x, DnSignedGraph):
-        attrs = [f'label="{"".join(map(str, t))}"' for t in x.labels]
+        attrs = (f'label="{"".join(map(str, t))}"' for t in x.labels)
     else:
         pairs = x.beta if isinstance(x, BidirectedGraph) else x.labels
-        attrs = [f"dir=both arrowtail={_ARROW[a]} arrowhead={_ARROW[b]}" for a, b in pairs]
-    out = [graph + " {"] + [f"  {v};" for v in range(g.vertex_count)]
-    out += [f"  {u} {arrow} {v} [{a}];" for (u, v), a in zip(g.edges, attrs)]
-    return "\n".join(out) + "\n}\n"
+        attrs = (f"dir=both arrowtail={_ARROW[a]} arrowhead={_ARROW[b]}" for a, b in pairs)
+    vertices = (f"  {v};\n" for v in range(g.vertex_count))
+    edges = (f"  {u} {arrow} {v} [{a}];\n" for (u, v), a in zip(g.edges, attrs))
+    return _joined([graph + " {\n"], vertices, edges, ["}\n"])
 
 
 def _write_failure(out: TextIO, positive_word: str, witness: CycleWitness) -> int:
@@ -414,7 +423,7 @@ def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: TextIO) -> 
     if not r.holds:
         return _write_failure(out, "uniformizable", r.witness)
     out.write("uniformizable\n")
-    out.write(("reorient " + " ".join(map(str, sorted(r.reorient_set)))).rstrip() + "\n")
+    out.write(_joined(["reorient"], (f" {e}" for e in sorted(r.reorient_set)), ["\n"]))
     out.write("signature " + _signs_text(r.signature.mu) + "\n")
     out.write(serialize(r.uniform))
     return 0

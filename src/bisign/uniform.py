@@ -86,7 +86,7 @@ _NEGATED = {p: _PAIRS[-p[0], -p[1]] for p in _PAIRS}
 def reorient(b: BidirectedGraph, edges: Iterable[EdgeId]) -> BidirectedGraph:
     """Negate both end signs of each listed edge.  Applying the same set
     twice restores the input."""
-    flip = set(edges)
+    flip = frozenset(edges)
     m = len(b.graph.edges)
     for e in flip:
         if not 0 <= e < m:

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -18,6 +19,7 @@ from bisign import (
     DnSignedGraph,
     SignedGraph,
     VertexSignature,
+    associated_signed,
     build_graph,
     cycle_sign,
     is_uniform,
@@ -616,6 +618,65 @@ def test_export_dot_dn_label():
 def test_export_dot_deterministic():
     text = "bidirected 3 3\n0 1 - +\n1 2 - +\n2 0 - +\n"
     assert export_dot(parse(text)) == export_dot(parse(text))
+
+
+# references for serialize and export_dot: every row formatted, then one join
+def _serialize_reference(x):
+    g = x.graph
+    kinds = {SignedGraph: "signed", BidirectedGraph: "bidirected", Di2SignedGraph: "di2"}
+    kind = kinds.get(type(x)) or f"dn {x.n}"
+    rows = [f"{kind} {g.vertex_count} {g.edge_count}"]
+    rows += [f"{u} {v} {' '.join(map(str, t))}" for (u, v), t in zip(g.edges, _tuples(x))]
+    return "\n".join(rows) + "\n"
+
+
+def _export_dot_reference(x):
+    g = x.graph
+    arrow = {PLUS: "normal", MINUS: "inv"}
+    if isinstance(x, (SignedGraph, DnSignedGraph)):
+        attrs = [f'label="{"".join(map(str, t))}"' for t in _tuples(x)]
+    else:
+        attrs = [f"dir=both arrowtail={arrow[a]} arrowhead={arrow[b]}" for a, b in _tuples(x)]
+    graph, edge = ("graph", "--") if isinstance(x, SignedGraph) else ("digraph", "->")
+    rows = [graph + " {"] + [f"  {v};" for v in range(g.vertex_count)]
+    rows += [f"  {u} {edge} {v} [{a}];" for (u, v), a in zip(g.edges, attrs)]
+    return "\n".join(rows) + "\n}\n"
+
+
+def _tuples(x):
+    if isinstance(x, SignedGraph):
+        return [(s,) for s in x.sigma]
+    return x.beta if isinstance(x, BidirectedGraph) else x.labels
+
+
+def _every_kind(b, seed):
+    rng = random.Random(seed)
+    labels = tuple(tuple(rng.choice((PLUS, MINUS)) for _ in range(3)) for _ in b.beta)
+    return [b, associated_signed(b), Di2SignedGraph(b.graph, b.beta), DnSignedGraph(3, b.graph, labels)]
+
+
+_C = cli._BLOCK
+
+
+@pytest.mark.parametrize("edges", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1])
+def test_output_blocks_match_one_join(edges):
+    # serialize writes a header row and export_dot 1 + V rows before the
+    # edges, so the block boundaries fall on both sides of the edge counts
+    for vertices in (1, 3, _C):
+        for x in _every_kind(random_bidirected(vertices, edges, True, True, edges), vertices):
+            assert serialize(x) == _serialize_reference(x)
+            assert export_dot(x) == _export_dot_reference(x)
+
+
+def test_output_memory_is_bounded_by_its_length():
+    b = random_bidirected(25_000, 50_000, True, True, 12)
+    for write in (serialize, export_dot):
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        text = write(b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.stop()
+        assert peak < 3 * len(text), (write.__name__, peak / len(text))
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -94,6 +94,13 @@ def test_reorient_flips_both_ends():
     assert reorient(reorient(b, [0]), [0]) == b
     with pytest.raises(ValueError):
         reorient(b, [1])
+    # any iterable of ids: each listed id is flipped once, repeats included
+    b = BidirectedGraph(build_graph(3, [(0, 1), (1, 2), (2, 2)]), ((PLUS, MINUS),) * 3)
+    flipped = BidirectedGraph(b.graph, ((MINUS, PLUS), (PLUS, MINUS), (MINUS, PLUS)))
+    for edges in (frozenset({0, 2}), [2, 0, 2], (e for e in (0, 2, 0))):
+        assert reorient(b, edges) == flipped
+    with pytest.raises(ValueError):
+        reorient(b, frozenset({0, 3}))
 
 
 @given(bidirected_graphs(), st.data())
