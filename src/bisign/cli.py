@@ -15,8 +15,8 @@ parse error:
                                               n for dn
 
 Counts and vertex ids are ASCII digits.  Every valid text is parsed in bulk;
-the line parser runs only on a text the bulk parser declines, to name the line
-and column of its first error, and is the tests' reference for the bulk parser.
+the line parser runs only from the first document the bulk parser declines, to
+name the line and column of its first error, and is the tests' reference.
 
 A document parses to its overlay object (``SignedGraph``, ``BidirectedGraph``,
 ``Di2SignedGraph`` or ``DnSignedGraph``), and ``OVERLAYS`` names the kind of
@@ -190,13 +190,15 @@ def _parse_one(rows: list[tuple[int, str]], at: int) -> tuple[Overlay, int]:
     return _overlay(kind, n, vcount, pairs, labels), at + 1 + ecount
 
 
-def _parse_lines(text: str) -> list[Overlay]:
-    """The documents of a text, read line by line: the reference for the bulk
-    parser, and the reporter of the first error in a text it declines."""
+def _parse_lines(text: str, at: int = 0, limit: int = sys.maxsize) -> list[Overlay]:
+    """The documents from non-blank row ``at`` on, read line by line; a row past
+    ``limit`` of them is trailing input.  The bulk parser's reference and error reporter."""
     rows = _rows(text)
     docs: list[Overlay] = []
-    at = 0
     while at < len(rows):
+        if len(docs) == limit:
+            lineno, line = rows[at]
+            raise _fail(lineno, line, 0, "trailing input after document")
         doc, at = _parse_one(rows, at)
         docs.append(doc)
     return docs
@@ -269,40 +271,39 @@ def _parse_bulk(text: str, pos: int) -> Optional[tuple[Overlay, int]]:
         return None
 
 
+def _parse_stream(text: str, limit: int) -> list[Overlay]:
+    """Up to ``limit`` documents of a text, and no input after them.  Each is
+    parsed in bulk from where the previous one's edge lines stop matching.  The
+    line parser reads on from the first document the bulk parser declines, at
+    row ``at``: each document before it took 1 + edge_count non-blank rows."""
+    docs: list[Overlay] = []
+    at = 0
+    pos = re.compile(r"[ \t\r\n]*").match(text).end()
+    while pos < len(text):
+        got = _parse_bulk(text, pos) if len(docs) < limit else None
+        if got is None:
+            return docs + _parse_lines(text, at, limit - len(docs))
+        doc, pos = got
+        docs.append(doc)
+        at += 1 + doc.graph.edge_count
+    return docs
+
+
 def parse(text: str) -> Overlay:
     """Parse exactly one document into its overlay; strict about every token.
 
-    Every valid text is parsed in bulk.  A text the bulk parser declines
-    goes to the line parser, the only source of ``ParseError``, which names
-    the line and column of the first error.
+    Every valid text is parsed in bulk; the line parser, the only source of
+    ``ParseError``, names the line and column of the first error.
     """
-    got = _parse_bulk(text, 0)
-    if got is not None and got[1] == len(text):
-        return got[0]
-    rows = _rows(text)
-    doc, at = _parse_one(rows, 0)
-    if at < len(rows):
-        lineno, line = rows[at]
-        raise _fail(lineno, line, 0, "trailing input after document")
-    return doc
+    docs = _parse_stream(text, 1)
+    if not docs:
+        _parse_one(_rows(text), 0)  # raises: the text has no non-blank line
+    return docs[0]
 
 
 def parse_documents(text: str) -> list[Overlay]:
-    """Parse a stream of consecutive documents into overlays (for ``compose``).
-
-    Each document is parsed in bulk, and the next header starts where a
-    document's edge lines stop matching; a text the bulk parser declines
-    goes to the line parser, which reports the first error.
-    """
-    docs = []
-    pos = re.compile(r"[ \t\r\n]*").match(text).end()
-    while pos < len(text):
-        got = _parse_bulk(text, pos)
-        if got is None:
-            return _parse_lines(text)
-        doc, pos = got
-        docs.append(doc)
-    return docs
+    """Parse a stream of consecutive documents into overlays (for ``compose``)."""
+    return _parse_stream(text, sys.maxsize)
 
 
 _SIGN_TEXT = {Sign.PLUS: "+", Sign.MINUS: "-"}

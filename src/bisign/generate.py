@@ -71,9 +71,11 @@ def random_bidirected(
         v = rng.below(vertex_count)
         if not allow_loops and u == v:
             continue
-        if not allow_parallel and (min(u, v), max(u, v)) in used:
-            continue
-        used.add((min(u, v), max(u, v)))
+        if not allow_parallel:
+            key = (min(u, v), max(u, v))
+            if key in used:
+                continue
+            used.add(key)
         pairs.append((u, v))
     beta = tuple((rng.sign(), rng.sign()) for _ in range(edge_count))
     return BidirectedGraph(build_graph(vertex_count, pairs), beta)

@@ -17,12 +17,10 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Optional
 
 from .core import (
-    MINUS,
     PLUS,
     BidirectedGraph,
     EdgeId,
     Graph,
-    Sign,
     SignedGraph,
     build_graph,
 )
@@ -35,131 +33,92 @@ class GraphEnumeration:
 
     max_vertices: int
     max_edges: int
-    allow_loops: bool = True
-    allow_parallel: bool = True
 
 
 def enumerate_multigraphs(spec: GraphEnumeration) -> Iterator[Graph]:
-    """Every multigraph within the bounds, each labeled graph exactly once.
+    """Every multigraph within the bounds, loops and parallel edges included,
+    each labeled graph exactly once.
 
     Edges are kept as nondecreasing (u, v) pairs in sorted order, so two
     listings of the same edge multiset are not produced twice.
     """
     for n in range(spec.max_vertices + 1):
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(u, n)
-            if spec.allow_loops or u != v
-        ]
+        pairs = list(combinations_with_replacement(range(n), 2))
         for m in range(spec.max_edges + 1):
-            chooser = (
-                combinations_with_replacement if spec.allow_parallel else combinations
-            )
-            for combo in chooser(pairs, m):
+            for combo in combinations_with_replacement(pairs, m):
                 yield build_graph(n, list(combo))
 
 
-def _is_cycle_subset(g: Graph, edges: tuple[EdgeId, ...]) -> bool:
-    """True when the edge subset is a single cycle: every touched vertex has
-    degree exactly 2 (loops count twice) and the subset is connected."""
+def _cycle(g: Graph, edges: tuple[EdgeId, ...]) -> Optional[tuple[EdgeId, ...]]:
+    """The increasing edge subset as a closed walk, or None when it is not
+    one cycle.
+
+    Every touched vertex must have degree exactly 2 (a loop counts twice).
+    Then each vertex the walk reaches has one unused edge left, so the walk
+    from the lowest edge is forced; it is a cycle iff the walk closes only
+    after taking every edge.  Of the walk and its reversal from the same
+    edge, the lexicographically smaller is the canonical form.
+    """
+    ends = g.edges
     degree: dict[int, int] = {}
     for e in edges:
-        u, v = g.edges[e]
+        u, v = ends[e]
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        return False
-    # connectivity over the touched vertices
-    touched = set(degree)
-    start = next(iter(touched))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for e in edges:
-            u, v = g.edges[e]
-            if u == x and v not in seen:
-                seen.add(v)
-                frontier.append(v)
-            elif v == x and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen == touched
-
-
-def _order_cycle(g: Graph, edges: tuple[EdgeId, ...]) -> tuple[EdgeId, ...]:
-    """Order a cycle edge set into a closed walk, canonically: the lowest
-    edge id first, then the lexicographically smaller of the two
-    traversal directions."""
-    if len(edges) <= 2:
-        return tuple(sorted(edges))
-    rest = sorted(edges[1:] if edges[0] == min(edges) else set(edges) - {min(edges)})
-    first = min(edges)
-    best: Optional[tuple[EdgeId, ...]] = None
-    for start_side in (0, 1):
-        walk = [first]
-        cur = g.edges[first][1 - start_side]
-        stop = g.edges[first][start_side]
-        remaining = set(rest)
-        while remaining:
-            nxt = None
-            for e in sorted(remaining):
-                u, v = g.edges[e]
-                if u == cur or v == cur:
-                    nxt = e
-                    break
-            assert nxt is not None
-            remaining.remove(nxt)
-            u, v = g.edges[nxt]
-            cur = v if u == cur else u
-            walk.append(nxt)
-        assert cur == stop
-        t = tuple(walk)
-        if best is None or t < best:
-            best = t
-    assert best is not None
-    return best
+    for d in degree.values():
+        if d != 2:
+            return None
+    first = edges[0]
+    rest = list(edges[1:])
+    start, cur = ends[first]
+    walk = [first]
+    while cur != start:
+        for i, e in enumerate(rest):
+            u, v = ends[e]
+            if u == cur or v == cur:
+                break
+        del rest[i]
+        cur = v if u == cur else u
+        walk.append(e)
+    if rest:
+        return None
+    return tuple(min(walk, [first] + walk[:0:-1]))
 
 
 def enumerate_cycles(g: Graph) -> list[CycleWitness]:
     """Every cycle of g exactly once up to rotation and reflection.
 
-    Found by sweeping all edge subsets: a subset is a cycle iff every
-    touched vertex has degree 2 in it and it is connected.  Sign fields are
+    Found by sweeping all edge subsets, each walked by ``_cycle``: the lowest
+    edge id first, then the smaller of the two directions.  Sign fields are
     filled with + (the callers below re-sign against a signed graph).
     """
     m = g.edge_count
     found: list[tuple[EdgeId, ...]] = []
     for size in range(1, m + 1):
         for subset in combinations(range(m), size):
-            if _is_cycle_subset(g, subset):
-                found.append(_order_cycle(g, subset))
+            walk = _cycle(g, subset)
+            if walk is not None:
+                found.append(walk)
     found.sort()
     return [CycleWitness(edges, PLUS) for edges in found]
 
 
-def _subset_sign(s: SignedGraph, edges: tuple[EdgeId, ...]) -> Sign:
+def _sign_product(s: SignedGraph, edges: tuple[EdgeId, ...]) -> int:
     sign = 1
     for e in edges:
         sign *= s.sigma[e].value
-    return PLUS if sign > 0 else MINUS
+    return sign
 
 
 def balanced_by_cycles(s: SignedGraph) -> bool:
     """True iff every cycle has positive sign product."""
-    return all(
-        _subset_sign(s, c.edges) is PLUS for c in enumerate_cycles(s.graph)
-    )
+    return all(_sign_product(s, c.edges) == 1 for c in enumerate_cycles(s.graph))
 
 
 def antibalanced_by_cycles(s: SignedGraph) -> bool:
     """True iff every even cycle is positive and every odd cycle negative."""
-    for c in enumerate_cycles(s.graph):
-        want = PLUS if len(c.edges) % 2 == 0 else MINUS
-        if _subset_sign(s, c.edges) is not want:
-            return False
-    return True
+    cycles = enumerate_cycles(s.graph)
+    return all(_sign_product(s, c.edges) == (-1) ** len(c.edges) for c in cycles)
 
 
 # a sweep checks every labeling of one graph before the next, so the last
@@ -178,9 +137,11 @@ def _subset_tables(m: int) -> tuple[int, tuple[int, ...]]:
     return full, tuple(flipped)
 
 
-def uniformizable_by_enumeration(
-    b: BidirectedGraph, max_edges: int = 20
-) -> Optional[frozenset[EdgeId]]:
+# the m * 2^m bits of _subset_tables(m) stay a few MB up to this edge count
+_MAX_EDGES = 20
+
+
+def uniformizable_by_enumeration(b: BidirectedGraph) -> Optional[frozenset[EdgeId]]:
     """Try every reorientation subset; return the lowest one that makes
     every vertex a source, sink, or isolated, or None.
 
@@ -190,12 +151,12 @@ def uniformizable_by_enumeration(
     complement into the subsets leaving it all + and all -, reading the end
     sign ``beta[e][side]``; the vertices' unions are ANDed, and
     the lowest set bit is the first subset in increasing-bitmask order (the
-    empty set first).  ``max_edges`` bounds the m * 2^m bits this takes.
+    empty set first).  Raises past ``_MAX_EDGES`` edges.
     """
     g = b.graph
     m = g.edge_count
-    if m > max_edges:
-        raise ValueError(f"edge count {m} exceeds enumeration bound {max_edges}")
+    if m > _MAX_EDGES:
+        raise ValueError(f"edge count {m} exceeds enumeration bound {_MAX_EDGES}")
     full, flipped = _subset_tables(m)
     beta = b.beta
     ok = full

@@ -115,7 +115,7 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     flips = frozenset(
         [e for e, (old, new) in enumerate(zip(b.beta, target)) if old[0] is not new[0]]
     )
-    uniform = BidirectedGraph(b.graph, target)
-    if reorient(b, flips).beta != target:
+    uniform = reorient(b, flips)
+    if uniform.beta != target:
         raise AssertionError("reorienting the flip set does not give the uniform graph")
     return UniformizationResult(flips, uniform, r.signature)

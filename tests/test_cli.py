@@ -344,6 +344,7 @@ _CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
      (1, 12, f"vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}")),
     (_CANON.replace("1 2", "1 \u0662"),
      (3, 3, "endpoint must be a nonnegative integer, got '\u0662'")),
+    ("signed 2 1 9\n0 1 +\n", (1, 12, "trailing tokens after header")),
 ])
 def test_bulk_parse_declines_near_canonical(text, error):
     # the bulk parser takes the valid texts and declines the others, which
@@ -358,6 +359,21 @@ def test_bulk_parse_declines_near_canonical(text, error):
         parse(text)
     assert (e.value.line, e.value.column) == (line, column)
     assert str(e.value) == f"line {line}, column {column}: {message}"
+
+
+def test_line_parser_starts_at_the_declined_document():
+    # a document the bulk parser took is not read again by the line parser
+    big = serialize(random_bidirected(2000, 5000, True, True, 3))
+    cases = [
+        (parse, big + "signed 1 0\n", (5002, 1, "trailing input after document")),
+        (parse_documents, big + "signed 1 1\n0 0 x\n", (5003, 5, "sign must be + or -, got 'x'")),
+    ]
+    for parse_text, text, (line, column, message) in cases:
+        with mock.patch.object(cli, "_parse_one", wraps=cli._parse_one) as spy:
+            with pytest.raises(ParseError) as e:
+                parse_text(text)
+        assert str(e.value) == f"line {line}, column {column}: {message}"
+        assert all(call.args[1] > 0 for call in spy.call_args_list)
 
 
 def test_serialize_canonical():
@@ -538,6 +554,18 @@ def test_decompose_compose_roundtrip_via_cli():
     assert code == 0 and back == text
 
 
+_COMPOSE_ORDER = "compose expects bidirected documents followed by at most one signed center"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "compose needs at least one document"),
+    ("dn 2 2 1\n0 1 + -\n", _COMPOSE_ORDER),
+    ("signed 1 0\nbidirected 1 0\n", _COMPOSE_ORDER),
+])
+def test_compose_rejects(text, message):
+    assert run_command(["compose"], text) == (2, "", f"error: {message}\n")
+
+
 def test_compose_reads_large_decompose_output_in_bulk():
     # each of the three documents spans chunks
     g = random_bidirected(5000, 10000, True, True, 11).graph
@@ -618,6 +646,7 @@ def test_export_dot_dn_label():
 def test_export_dot_deterministic():
     text = "bidirected 3 3\n0 1 - +\n1 2 - +\n2 0 - +\n"
     assert export_dot(parse(text)) == export_dot(parse(text))
+    assert run_command(["export-dot"], text) == (0, export_dot(parse(text)), "")
 
 
 # references for serialize and export_dot: every row formatted, then one join

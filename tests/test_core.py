@@ -190,6 +190,10 @@ def test_build_rejects_out_of_range():
         build_graph(2, [(0, 2)])
     with pytest.raises(ValueError):
         build_graph(0, [(0, 0)])
+    with pytest.raises(ValueError, match="^vertex_count must be nonnegative$"):
+        build_graph(-1, [])
+    with pytest.raises(ValueError, match="^unknown edge id 5$"):
+        build_graph(2, [(0, 1)]).endpoints(5)
 
 
 def test_incident_half_edges_cases():
@@ -295,8 +299,7 @@ VALUES = {
     ),
     "GraphEnumeration": (
         lambda: GraphEnumeration(4, 5),
-        "GraphEnumeration(max_vertices=4, max_edges=5, allow_loops=True, "
-        "allow_parallel=True)",
+        "GraphEnumeration(max_vertices=4, max_edges=5)",
     ),
 }
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -48,9 +50,33 @@ def test_loop_plus_digon():
     assert sorted(len(c.edges) for c in cycles) == [1, 2]
 
 
+def test_disconnected_subsets_are_not_cycles():
+    # each vertex has degree 2 in the union, but the walk closes early
+    loops = build_graph(2, [(0, 0), (1, 1)])
+    assert [c.edges for c in enumerate_cycles(loops)] == [(0,), (1,)]
+    triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert [c.edges for c in enumerate_cycles(triangles)] == [(0, 1, 2), (3, 4, 5)]
+
+
+def test_cycle_listing_is_pinned():
+    # every cycle of every multigraph on up to 4 vertices and 5 edges, in the
+    # listing's canonical order and form
+    lines = []
+    cycles = 0
+    for g in enumerate_multigraphs(GraphEnumeration(4, 5)):
+        walks = [c.edges for c in enumerate_cycles(g)]
+        cycles += len(walks)
+        lines.append(f"{g.vertex_count} {g.edges} {walks}\n")
+    assert cycles == 10_406
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "6ed7a75002fb90150fde8635ecab44c606eb7bca62b57f53c75808f6122962a1"
+    )
+
+
 @given(graphs(max_vertices=5, max_edges=7))
 def test_cycles_are_valid_and_distinct(g):
     cycles = enumerate_cycles(g)
+    assert [c.edges for c in cycles] == sorted(c.edges for c in cycles)
     seen = set()
     for c in cycles:
         verts = closed_walk_vertices(g, c.edges)
@@ -58,6 +84,10 @@ def test_cycles_are_valid_and_distinct(g):
         key = frozenset(c.edges)  # rotation/reflection invariant
         assert key not in seen
         seen.add(key)
+        # canonical: the lowest id first, then the smaller direction
+        first, rest = c.edges[0], c.edges[1:]
+        assert first == min(c.edges)
+        assert c.edges <= (first,) + rest[::-1]
 
 
 def test_balanced_by_cycles_cases():
@@ -80,19 +110,21 @@ def test_antibalance_negation_identity(s):
 
 
 def test_enumeration_counts():
-    # 1 vertex, loops allowed: exactly one graph per edge count
-    gs = list(enumerate_multigraphs(GraphEnumeration(1, 3)))
-    assert len(gs) == 5  # the 0-vertex graph plus loop multigraphs m=0..3
-    # no loops, no parallels on 3 vertices: subsets of the 3 possible edges
-    gs = list(
-        enumerate_multigraphs(
-            GraphEnumeration(3, 3, allow_loops=False, allow_parallel=False)
-        )
-    )
+    # 1 vertex: the 0-vertex graph plus one loop multigraph per edge count
+    assert len(list(enumerate_multigraphs(GraphEnumeration(1, 3)))) == 5
+    # n >= 1 vertices have p = n(n+1)/2 loop or pair slots, and m edges are
+    # a multiset of m slots; n = 0 has only the empty graph
     counts = {}
-    for g in gs:
-        counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1
-    assert counts[3] == 8
+    for g in enumerate_multigraphs(GraphEnumeration(4, 5)):
+        key = (g.vertex_count, g.edge_count)
+        counts[key] = counts.get(key, 0) + 1
+    want = {(0, 0): 1}
+    for n in range(1, 5):
+        p = n * (n + 1) // 2
+        for m in range(6):
+            want[n, m] = comb(p + m - 1, m)
+    assert counts == want
+    assert sum(counts.values()) == 3_528
 
 
 def test_uniformizable_enumeration_prefers_empty_set():
@@ -163,11 +195,9 @@ def test_uniformizable_enumeration_edge_cases():
 
 
 def test_uniformizable_enumeration_edge_bound():
-    b = random_bidirected(3, 6, True, True, 1)
-    with pytest.raises(ValueError, match="exceeds enumeration bound 5"):
-        uniformizable_by_enumeration(b, max_edges=5)
-    with pytest.raises(ValueError):
-        uniformizable_by_enumeration(random_bidirected(5, 21, True, True, 1))
+    b = random_bidirected(5, 21, True, True, 1)
+    with pytest.raises(ValueError, match="^edge count 21 exceeds enumeration bound 20$"):
+        uniformizable_by_enumeration(b)
 
 
 def test_uniformizable_enumeration_twenty_edges():
@@ -199,6 +229,8 @@ def test_random_bidirected_deterministic():
 def test_random_bidirected_empty_and_errors():
     e = random_bidirected(0, 0, True, True, 7)
     assert e.graph.vertex_count == 0 and e.graph.edge_count == 0
+    with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+        random_bidirected(-1, 0, True, True, 0)
     with pytest.raises(ValueError):
         random_bidirected(0, 1, True, True, 0)
     with pytest.raises(ValueError):
@@ -224,3 +256,5 @@ def test_splitmix64_reference_values():
         7960286522194355700,
         487617019471545679,
     ]
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        rng.below(0)
