@@ -426,7 +426,10 @@ def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: TextIO) -> 
     out.write("uniformizable\n")
     out.write(_joined(["reorient"], (f" {e}" for e in sorted(r.reorient_set)), ["\n"]))
     out.write("signature " + _signs_text(r.signature.mu) + "\n")
-    out.write(serialize(r.uniform))
+    # the reorient set and signature are freed before the graph's text is built
+    uniform = r.uniform
+    del r
+    out.write(serialize(uniform))
     return 0
 
 

@@ -110,22 +110,30 @@ def _sign_product(s: SignedGraph, edges: tuple[EdgeId, ...]) -> int:
     return sign
 
 
+# a sweep checks every signing of one graph before the next, so the last
+# graph's cycles are the ones reused
+@lru_cache(maxsize=1)
+def _cycle_edges(g: Graph) -> tuple[tuple[EdgeId, ...], ...]:
+    """The edge tuples of ``enumerate_cycles(g)``, in the same order."""
+    return tuple([c.edges for c in enumerate_cycles(g)])
+
+
 def balanced_by_cycles(s: SignedGraph) -> bool:
     """True iff every cycle has positive sign product."""
-    return all(_sign_product(s, c.edges) == 1 for c in enumerate_cycles(s.graph))
+    return all(_sign_product(s, c) == 1 for c in _cycle_edges(s.graph))
 
 
 def antibalanced_by_cycles(s: SignedGraph) -> bool:
     """True iff every even cycle is positive and every odd cycle negative."""
-    cycles = enumerate_cycles(s.graph)
-    return all(_sign_product(s, c.edges) == (-1) ** len(c.edges) for c in cycles)
+    return all(_sign_product(s, c) == (-1) ** len(c) for c in _cycle_edges(s.graph))
 
 
 # a sweep checks every labeling of one graph before the next, so the last
 # m's tables are the ones reused
 @lru_cache(maxsize=1)
-def _subset_tables(m: int) -> tuple[int, tuple[int, ...]]:
-    """The 2^m-bit set of all subsets, and ``flipped[e]`` for each edge."""
+def _subset_tables(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The 2^m-bit set of all subsets, ``flipped[e]`` for each edge, and its
+    complement ``kept[e]``."""
     full = (1 << (1 << m)) - 1
     # flipped[e] repeats 2^e clear bits then 2^e set bits; each is the
     # one above it XORed with itself shifted down by 2^e
@@ -134,10 +142,11 @@ def _subset_tables(m: int) -> tuple[int, tuple[int, ...]]:
     for e in reversed(range(m)):
         bits ^= bits >> (1 << e)
         flipped[e] = bits
-    return full, tuple(flipped)
+    return full, tuple(flipped), tuple([full ^ f for f in flipped])
 
 
-# the m * 2^m bits of _subset_tables(m) stay a few MB up to this edge count
+# the 2 * m * 2^m bits of _subset_tables(m) come to about 5 MB at this
+# edge count
 _MAX_EDGES = 20
 
 
@@ -147,8 +156,8 @@ def uniformizable_by_enumeration(b: BidirectedGraph) -> Optional[frozenset[EdgeI
 
     Subset k (edge e reoriented iff bit e of k is set) is bit k of a 2^m-bit
     integer; ``flipped[e]`` is the set of subsets reorienting edge e.  Each
-    vertex ANDs, per incident half-edge h = 2e + side, ``flipped[e]`` or its
-    complement into the subsets leaving it all + and all -, reading the end
+    vertex ANDs, per incident half-edge h = 2e + side, ``flipped[e]`` or
+    ``kept[e]`` into the subsets leaving it all + and all -, reading the end
     sign ``beta[e][side]``; the vertices' unions are ANDed, and
     the lowest set bit is the first subset in increasing-bitmask order (the
     empty set first).  Raises past ``_MAX_EDGES`` edges.
@@ -157,7 +166,7 @@ def uniformizable_by_enumeration(b: BidirectedGraph) -> Optional[frozenset[EdgeI
     m = g.edge_count
     if m > _MAX_EDGES:
         raise ValueError(f"edge count {m} exceeds enumeration bound {_MAX_EDGES}")
-    full, flipped = _subset_tables(m)
+    full, flipped, kept = _subset_tables(m)
     beta = b.beta
     ok = full
     for hes in g.incidence:
@@ -165,13 +174,13 @@ def uniformizable_by_enumeration(b: BidirectedGraph) -> Optional[frozenset[EdgeI
         for h in hes:
             e = h >> 1
             if beta[e][h & 1] is PLUS:
-                plus &= ~flipped[e]
+                plus &= kept[e]
                 minus &= flipped[e]
             else:
                 plus &= flipped[e]
-                minus &= ~flipped[e]
+                minus &= kept[e]
         ok &= plus | minus
         if not ok:
             return None
     mask = (ok & -ok).bit_length() - 1
-    return frozenset(e for e in range(m) if mask >> e & 1)
+    return frozenset([e for e in range(m) if mask >> e & 1])

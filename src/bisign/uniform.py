@@ -109,13 +109,14 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     if r.witness is not None:
         return UniformizationResult(None, None, None, r.witness)
     mu = r.signature.mu
-    target = tuple([_PAIRS[mu[u], mu[v]] for u, v in b.graph.edges])
-    # sigma equality forces the two graphs to differ on both ends or neither,
-    # so comparing side 0 alone picks out whole-edge reorientations
-    flips = frozenset(
-        [e for e, (old, new) in enumerate(zip(b.beta, target)) if old[0] is not new[0]]
-    )
+    edges = b.graph.edges
+    beta = b.beta
+    # sigma equality forces the uniform graph to differ from b on both ends
+    # of an edge or neither, so comparing side 0 with mu alone picks out
+    # whole-edge reorientations
+    flips = frozenset([e for e, (u, _) in enumerate(edges) if beta[e][0] is not mu[u]])
     uniform = reorient(b, flips)
-    if uniform.beta != target:
+    # checked pair by pair, so no copy of the uniform labeling is built
+    if any(p != (mu[u], mu[v]) for (u, v), p in zip(edges, uniform.beta)):
         raise AssertionError("reorienting the flip set does not give the uniform graph")
     return UniformizationResult(flips, uniform, r.signature)

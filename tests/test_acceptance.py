@@ -8,6 +8,7 @@ everywhere.  Each test prints a PASS line with the work done (visible with
 """
 
 import itertools
+import multiprocessing
 import pathlib
 
 from bisign import (
@@ -19,6 +20,7 @@ from bisign import (
     VertexRole,
     associated_signed,
     bidirected_to_di2,
+    build_graph,
     compose_dn,
     cycle_sign,
     decompose_dn,
@@ -88,9 +90,11 @@ def test_criterion_3_antibalance_duality():
     print(f"PASS criterion 3: antibalance duality on {checked} signings")
 
 
-def test_criterion_4_theorem2_exhaustive():
+def _criterion_4_checks(graphs):
+    """Check every bidirection of each (vertex_count, edges) graph; the count."""
     checked = 0
-    for g in enumerate_multigraphs(GraphEnumeration(4, 5)):
+    for n, edges in graphs:
+        g = build_graph(n, edges)
         m = g.edge_count
         for beta in itertools.product(SIGN_PAIRS, repeat=m):
             b = BidirectedGraph(g, beta)
@@ -109,6 +113,15 @@ def test_criterion_4_theorem2_exhaustive():
                     elif role is VertexRole.SOURCE:
                         assert r.signature.mu[v] is MINUS
             checked += 1
+    return checked
+
+
+def test_criterion_4_theorem2_exhaustive():
+    graphs = [(g.vertex_count, g.edges) for g in enumerate_multigraphs(GraphEnumeration(4, 5))]
+    # every other graph to each of two worker processes; an assertion that
+    # fails in a worker is raised again here by map
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        checked = sum(pool.map(_criterion_4_checks, [graphs[0::2], graphs[1::2]]))
     print(f"PASS criterion 4: uniformization equivalence on {checked} bidirections")
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pathlib
 import random
@@ -18,6 +19,7 @@ from bisign import (
     Di2SignedGraph,
     DnSignedGraph,
     SignedGraph,
+    UniformizationResult,
     VertexSignature,
     associated_signed,
     build_graph,
@@ -526,6 +528,26 @@ def test_uniformize_certificate_reverifies():
 
     assert associated_signed(uniform_doc) == associated_signed(original)
     assert verify_signature(associated_signed(original), mu, "antibalance")
+
+
+def test_uniformize_frees_its_certificate_before_serializing():
+    # no result object holds the uniform graph while its text is built, so
+    # the reorient set and signature are already freed
+    g = random_bidirected(50, 100, True, True, 4).graph
+    beta = tuple((MINUS, MINUS) if e % 3 == 0 else (PLUS, PLUS) for e in range(g.edge_count))
+    text = serialize(BidirectedGraph(g, beta))
+    held = []
+
+    def spy(x):
+        held.extend(
+            o for o in gc.get_objects() if type(o) is UniformizationResult and o.uniform is x
+        )
+        return serialize(x)
+
+    with mock.patch.object(cli, "serialize", spy):
+        code, out, _ = run_command(["uniformize"], text)
+    assert code == 0 and out.startswith("uniformizable\n")
+    assert held == []
 
 
 def test_uniformize_witness_reverifies():

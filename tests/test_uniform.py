@@ -22,6 +22,7 @@ from bisign import (
     verify_signature,
     vertex_role,
 )
+from bisign.generate import SplitMix64
 from bisign.oracle import GraphEnumeration, enumerate_multigraphs, uniformizable_by_enumeration
 
 from _strategies import bidirected_graphs
@@ -189,6 +190,31 @@ def test_necessity_marking(b):
     u = r.uniform
     assert verify_signature(associated_signed(u), r.signature, "antibalance")
     assert is_antibalanced(associated_signed(b)).holds
+
+
+def test_uniformize_recovers_a_planted_reorientation_at_scale():
+    # a connected graph has one antibalance signature with mu[0] = +, so
+    # uniformize must find exactly the planted mu and the negated edges
+    rng = SplitMix64(2013)
+    n = 20_000
+    edges = [(i, i + 1) for i in range(n - 1)]
+    while len(edges) < 40_000:
+        kind = rng.below(8)
+        if kind == 0:
+            u = rng.below(n)
+            edges.append((u, u))
+        elif kind == 1:
+            edges.append(edges[rng.below(len(edges))])
+        else:
+            edges.append((rng.below(n), rng.below(n)))
+    mu = (PLUS,) + tuple(rng.sign() for _ in range(n - 1))
+    planted = tuple((mu[u], mu[v]) for u, v in edges)
+    flips = frozenset(e for e in range(len(edges)) if rng.below(2) == 1)
+    beta = tuple((-a, -c) if e in flips else (a, c) for e, (a, c) in enumerate(planted))
+    r = uniformize(BidirectedGraph(build_graph(n, edges), beta))
+    assert r.reorient_set == flips
+    assert r.signature.mu == mu
+    assert r.uniform.beta == planted
 
 
 def test_self_check_runs_under_python_O():
