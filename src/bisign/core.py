@@ -106,27 +106,35 @@ class Graph:
         Returns the non-root vertices in discovery order; each vertex's
         parent edge, parent vertex (-1 at a root) and depth; and the ids of
         the non-tree edges in increasing order.
+
+        ``far[h]`` is the far end of half-edge ``h``: the endpoint array with
+        its even and odd slots swapped.  It holds the values inline, where a
+        list would point at the parser's int objects, scattered on the heap
+        in parse order and so read in random order by the BFS.
         """
         n = self.vertex_count
         edges = self.edges
         incidence = self.incidence
-        ends = list(chain.from_iterable(edges))
+        far = array("i", chain.from_iterable(edges))
+        far[0::2], far[1::2] = far[1::2], far[0::2]
         seen = bytearray(n)
         parent_edge = array("i", [-1]) * n
         parent_vertex = array("i", [-1]) * n
         depth = array("i", [0]) * n
         order = array("i")
         nontree = bytearray(b"\x01") * len(edges)
-        for root in range(n):
+        queue = deque()
+        # a root with no half-edges is a component of its own: skip it
+        for root in compress(range(n), incidence):
             if seen[root]:
                 continue
             seen[root] = 1
-            queue = deque([root])
+            queue.append(root)
             while queue:
                 u = queue.popleft()
                 d = depth[u] + 1
                 for h in incidence[u]:
-                    w = ends[h ^ 1]
+                    w = far[h]
                     if not seen[w]:
                         e = h >> 1
                         seen[w] = 1

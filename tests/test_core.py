@@ -27,6 +27,7 @@ from bisign import (
     uniformize,
     vertex_role,
 )
+from bisign.cli import MAX_VERTICES
 from bisign.generate import SplitMix64, random_bidirected
 from bisign.oracle import GraphEnumeration, enumerate_multigraphs
 
@@ -177,6 +178,13 @@ def test_forest_matches_reference_bfs():
         _check_forest(g)
         isolated += sum(not hes for hes in g.incidence)
     assert isolated > 0
+    # the whole vertex range, nearly all isolated, with a few edges, loops
+    # and parallel edges on the top ids: the far ends stay exact there
+    top = MAX_VERTICES - 1
+    g = build_graph(MAX_VERTICES, [(top, top - 2), (top - 1, top - 1), (top - 2, top),
+                                   (top, top), (5, top - 1), (top - 1, top - 2)])
+    _check_forest(g)
+    assert g._forest[0].tolist() == [top - 1, top - 2, top]
 
 
 def test_build_digon():
