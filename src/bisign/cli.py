@@ -307,10 +307,7 @@ def parse_documents(text: str) -> list[Overlay]:
 
 
 _SIGN_TEXT = {Sign.PLUS: "+", Sign.MINUS: "-"}
-
-
-def _signs_text(signs: Iterable[Sign]) -> str:
-    return " ".join(map(_SIGN_TEXT.__getitem__, signs))
+_SPACED_SIGN = {Sign.PLUS: " +", Sign.MINUS: " -"}
 
 
 # rows per block of output text: rows are formatted and joined a block at a
@@ -335,7 +332,7 @@ def serialize(x: Overlay) -> str:
         text: dict = _SIGN_TEXT
     else:
         labels = x.beta if isinstance(x, BidirectedGraph) else x.labels
-        text = {t: _signs_text(t) for t in set(labels)}
+        text = {t: " ".join(map(_SIGN_TEXT.__getitem__, t)) for t in set(labels)}
     head = f"{kind}{n} {g.vertex_count} {g.edge_count}\n"
     return _joined([head], (f"{u} {v} {text[t]}\n" for (u, v), t in zip(g.edges, labels)))
 
@@ -366,9 +363,14 @@ def export_dot(x: Overlay) -> str:
     return _joined([graph + " {\n"], vertices, edges, ["}\n"])
 
 
+def _signature_line(mu: tuple[Sign, ...]) -> str:
+    # a graph with no vertices keeps the space after "signature"
+    return _joined(["signature" if mu else "signature "], map(_SPACED_SIGN.__getitem__, mu), ["\n"])
+
+
 def _write_failure(out: TextIO, positive_word: str, witness: CycleWitness) -> int:
-    out.write(f"not-{positive_word}\nwitness {witness.sign} ")
-    out.write(" ".join(map(str, witness.edges)) + "\n")
+    head = f"not-{positive_word}\nwitness {_SIGN_TEXT[witness.sign]}"
+    out.write(_joined([head], (f" {e}" for e in witness.edges), ["\n"]))
     return 1
 
 
@@ -377,11 +379,11 @@ def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> i
         return _write_failure(out, positive_word, r.witness)
     out.write(positive_word + "\n")
     mu = r.signature.mu
-    out.write("signature " + _signs_text(mu) + "\n")
+    out.write(_signature_line(mu))
     # the + vertices, then the - vertices, each in id order
     for sign in (Sign.PLUS, Sign.MINUS):
-        ids = " ".join([str(v) for v, x in enumerate(mu) if x is sign])
-        out.write(f"bipartition {sign} {ids}".rstrip() + "\n")
+        ids = (f" {v}" for v, x in enumerate(mu) if x is sign)
+        out.write(_joined([f"bipartition {_SIGN_TEXT[sign]}"], ids, ["\n"]))
     return 0
 
 
@@ -425,7 +427,7 @@ def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: TextIO) -> 
         return _write_failure(out, "uniformizable", r.witness)
     out.write("uniformizable\n")
     out.write(_joined(["reorient"], (f" {e}" for e in sorted(r.reorient_set)), ["\n"]))
-    out.write("signature " + _signs_text(r.signature.mu) + "\n")
+    out.write(_signature_line(r.signature.mu))
     # the reorient set and signature are freed before the graph's text is built
     uniform = r.uniform
     del r

@@ -85,6 +85,9 @@ class Graph:
 
         Half-edge ``h = 2e + side`` is the given side of edge ``e``: ``h >> 1``
         is the edge, ``h & 1`` the side and ``h ^ 1`` the other half-edge.
+
+        Cached on the graph when read.  ``_forest`` builds its own copy and
+        keeps none: that copy is freed when it returns.
         """
         inc: list = [[] for _ in range(self.vertex_count)]
         h = 0
@@ -114,7 +117,8 @@ class Graph:
         """
         n = self.vertex_count
         edges = self.edges
-        incidence = self.incidence
+        # the builder is looked up at call time: a traced ``incidence`` sees this build
+        incidence = Graph.incidence.func(self)
         far = array("i", chain.from_iterable(edges))
         far[0::2], far[1::2] = far[1::2], far[0::2]
         seen = bytearray(n)

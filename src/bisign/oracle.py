@@ -22,7 +22,6 @@ from .core import (
     EdgeId,
     Graph,
     SignedGraph,
-    build_graph,
 )
 from .balance import CycleWitness
 
@@ -39,14 +38,14 @@ def enumerate_multigraphs(spec: GraphEnumeration) -> Iterator[Graph]:
     """Every multigraph within the bounds, loops and parallel edges included,
     each labeled graph exactly once.
 
-    Edges are kept as nondecreasing (u, v) pairs in sorted order, so two
-    listings of the same edge multiset are not produced twice.
+    Edges are nondecreasing pairs from ``range(n)``, in sorted order: they
+    need no range check, and no edge multiset is listed twice.
     """
     for n in range(spec.max_vertices + 1):
         pairs = list(combinations_with_replacement(range(n), 2))
         for m in range(spec.max_edges + 1):
             for combo in combinations_with_replacement(pairs, m):
-                yield build_graph(n, list(combo))
+                yield Graph(n, combo)
 
 
 def _cycle(g: Graph, edges: tuple[EdgeId, ...]) -> Optional[tuple[EdgeId, ...]]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bisign import (
     MINUS,
     PLUS,
+    BalanceResult,
     BidirectedGraph,
     Di2SignedGraph,
     DnSignedGraph,
@@ -532,22 +533,26 @@ def test_uniformize_certificate_reverifies():
 
 def test_uniformize_frees_its_certificate_before_serializing():
     # no result object holds the uniform graph while its text is built, so
-    # the reorient set and signature are already freed
+    # the reorient set and signature are already freed; the BFS forest kept
+    # no copy of the graph's incidence either
     g = random_bidirected(50, 100, True, True, 4).graph
     beta = tuple((MINUS, MINUS) if e % 3 == 0 else (PLUS, PLUS) for e in range(g.edge_count))
     text = serialize(BidirectedGraph(g, beta))
     held = []
+    cached = []
 
     def spy(x):
         held.extend(
             o for o in gc.get_objects() if type(o) is UniformizationResult and o.uniform is x
         )
+        cached.append("incidence" in vars(x.graph))
         return serialize(x)
 
     with mock.patch.object(cli, "serialize", spy):
         code, out, _ = run_command(["uniformize"], text)
     assert code == 0 and out.startswith("uniformizable\n")
     assert held == []
+    assert cached == [False]
 
 
 def test_uniformize_witness_reverifies():
@@ -728,6 +733,27 @@ def test_output_memory_is_bounded_by_its_length():
         peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.stop()
         assert peak < 3 * len(text), (write.__name__, peak / len(text))
+
+
+def test_balance_certificate_memory_is_bounded_by_its_lines():
+    # the signature and bipartition lines are built a block at a time, not
+    # from one string per vertex
+    rng = random.Random(5)
+    mu = tuple(rng.choice((PLUS, MINUS)) for _ in range(300_000))
+    result = BalanceResult(VertexSignature(mu))
+    lengths = []
+
+    class Sink:
+        def write(self, s):
+            lengths.append(len(s))
+
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    cli._balance_certificate(result, "balanced", Sink())
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    assert lengths[:2] == [len("balanced\n"), len("signature\n") + 2 * len(mu)]
+    assert peak < 3 * max(lengths), peak / max(lengths)
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

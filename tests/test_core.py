@@ -155,7 +155,9 @@ def _reference_forest(g):
 
 
 def _check_forest(g):
+    # each caller passes a new graph: the forest leaves no incidence cached
     forest = g._forest
+    assert "incidence" not in vars(g)
     assert all(type(a) is array and a.typecode == "i" for a in forest)
     assert [a.tolist() for a in forest] == list(_reference_forest(g))
 
