@@ -149,6 +149,7 @@ def is_antibalanced(s: SignedGraph) -> BalanceResult:
     edge; a negative result carries a cycle of s violating the parity
     condition, with its sign taken in s.
     """
+    s.graph._forest  # built before the negated signs, so its peak holds none of them
     r = is_balanced(negate_signed(s))
     w = r.witness
     # the witness is negative in the negated graph; negating every edge keeps

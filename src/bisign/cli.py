@@ -34,6 +34,7 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Optional, TextIO, Union
 
@@ -490,6 +491,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)  # built once: each build leaves ~280 objects in reference cycles
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bisign",

@@ -10,7 +10,6 @@ side 0 to side 1, and all stored label tuples are relative to it.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -127,15 +126,14 @@ class Graph:
         depth = array("i", [0]) * n
         order = array("i")
         nontree = bytearray(b"\x01") * len(edges)
-        queue = deque()
+        i = 0  # the BFS queue is ``order[i:]``: found, not yet scanned
         # a root with no half-edges is a component of its own: skip it
         for root in compress(range(n), incidence):
             if seen[root]:
                 continue
             seen[root] = 1
-            queue.append(root)
-            while queue:
-                u = queue.popleft()
+            u = root
+            while True:
                 d = depth[u] + 1
                 for h in incidence[u]:
                     w = far[h]
@@ -147,7 +145,10 @@ class Graph:
                         depth[w] = d
                         nontree[e] = 0
                         order.append(w)
-                        queue.append(w)
+                if i == len(order):
+                    break
+                u = order[i]
+                i += 1
         nontree_ids = array("i", compress(range(len(edges)), nontree))
         return order, parent_edge, parent_vertex, depth, nontree_ids
 

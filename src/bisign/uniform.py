@@ -105,6 +105,7 @@ def uniformize(b: BidirectedGraph) -> UniformizationResult:
     same signed graph; the edges where it differs from b form the
     reorientation set.  mu marks sinks + and sources - (isolated vertices +).
     """
+    b.graph._forest  # built before the sign tuples, so its peak holds none of them
     r = is_antibalanced(associated_signed(b))
     if r.witness is not None:
         return UniformizationResult(None, None, None, r.witness)

@@ -306,6 +306,22 @@ def test_forest_is_balanced_and_antibalanced():
     assert is_antibalanced(path).holds
 
 
+def test_antibalance_builds_the_forest_before_the_negated_signs(monkeypatch):
+    # the forest depends on the graph alone; built first, its peak holds no
+    # sign tuple of the negated graph
+    forest_first = []
+
+    def spy(s):
+        forest_first.append("_forest" in vars(s.graph))
+        return negate_signed(s)
+
+    monkeypatch.setattr("bisign.balance.negate_signed", spy)
+    s = triangle((MINUS, MINUS, PLUS))
+    assert "_forest" not in vars(s.graph)
+    assert not is_antibalanced(s).holds
+    assert forest_first == [True]
+
+
 @given(signed_graphs(max_vertices=5, max_edges=7), st.data())
 def test_switching_invariance(s, data):
     tau = data.draw(st.tuples(*[signs] * s.graph.vertex_count))

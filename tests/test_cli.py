@@ -501,6 +501,26 @@ def test_usage_error_message_is_returned():
     )
 
 
+def test_warm_calls_leave_no_cyclic_garbage():
+    # the parser is built once per process: each build leaves its own
+    # reference cycles, and a warm successful call then leaves none
+    help_text = run_command(["--help"])
+    for argv, text in (
+        (["uniformize"], "bidirected 2 1\n0 1 + +\n"),
+        (["check-balance"], "signed 2 1\n0 1 +\n"),
+    ):
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run_command(argv, text)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert (code, garbage) == (0, 0)
+    # the shared parser prints the same help text on every call
+    assert run_command(["--help"]) == help_text
+
+
 def test_unknown_flag_message_is_returned():
     code, out, err = run_command(["check-balance", "--bogus"], "signed 0 0\n")
     assert code == 2 and out == ""

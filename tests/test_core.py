@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 from array import array
 from collections import deque
 
@@ -16,6 +17,7 @@ from bisign import (
     CycleWitness,
     DnSignedGraph,
     Di2SignedGraph,
+    Graph,
     Sign,
     SignedGraph,
     VertexRole,
@@ -187,6 +189,33 @@ def test_forest_matches_reference_bfs():
                                    (top, top), (5, top - 1), (top - 1, top - 2)])
     _check_forest(g)
     assert g._forest[0].tolist() == [top - 1, top - 2, top]
+    # one vertex that finds 100,000 others at once, and a 100,000-edge path
+    # that finds one per scan
+    _check_forest(_star(100_000))
+    _check_forest(build_graph(100_001, [(i, i + 1) for i in range(100_000)]))
+
+
+def _star(leaves):
+    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_forest_peaks_no_higher_than_its_incidence():
+    # the root of a star finds every leaf in one scan; the queue holds them
+    # all, so a queue of int objects would add one per leaf to the peak
+    star = _star(100_000)
+    incidence_peak = _traced_peak(lambda: Graph.incidence.func(star))
+    assert "incidence" not in vars(star) and "_forest" not in vars(star)
+    assert _traced_peak(lambda: star._forest) <= incidence_peak + 64 * 1024
 
 
 def test_build_digon():

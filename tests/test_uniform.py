@@ -217,6 +217,22 @@ def test_uniformize_recovers_a_planted_reorientation_at_scale():
     assert r.uniform.beta == planted
 
 
+def test_uniformize_builds_the_forest_before_the_associated_signs(monkeypatch):
+    # the forest depends on the graph alone; built first, its peak holds no
+    # sign tuple of the associated signed graph
+    forest_first = []
+
+    def spy(b):
+        forest_first.append("_forest" in vars(b.graph))
+        return associated_signed(b)
+
+    monkeypatch.setattr("bisign.uniform.associated_signed", spy)
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    assert "_forest" not in vars(g)
+    uniformize(BidirectedGraph(g, ((MINUS, PLUS),) * 3))
+    assert forest_first == [True]
+
+
 def test_self_check_runs_under_python_O():
     # the reorient check must not be an assert that -O strips: a reorient
     # that returns the wrong graph makes uniformize raise even so

@@ -17,6 +17,16 @@ run's metrics, and per metric the two sides' medians and quartiles and the
 number of pairs the change won, judged by the metric's ``better`` direction
 in ``BENCHMARK.json``.  A row for another workload or seed already in the
 file is kept, so one file can gather several rows against one base.
+
+After the file, one line per end-to-end metric goes to stdout:
+
+    peak_mem_mb: base 26.0772 [26.0771, 26.0772] change 24.0128 [24.0127, 24.0129] \
+        delta -7.92 % wins 10/10 claim holds
+
+that is, each side's median [q1, q3], the change in the median, and the
+pairs the change won.  The claim holds when the change won at least nine
+pairs in ten, and its median is better than the base's by more than the
+base's q3 - q1.
 """
 
 from __future__ import annotations
@@ -88,6 +98,18 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def claim_line(name: str, m: dict) -> str:
+    """The summary line of one metric's comparison (see the module doc)."""
+    base, change = m["base"], m["change"]
+    gain = (change["median"] - base["median"]) * (-1 if m["better"] == "lower" else 1)
+    holds = 10 * m["change_wins"] >= 9 * m["pairs"] and gain > base["q3"] - base["q1"]
+    return (f"{name}: base {base['median']:.6g} [{base['q1']:.6g}, {base['q3']:.6g}]"
+            f" change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]"
+            f" delta {100 * (change['median'] / base['median'] - 1):+.2f} %"
+            f" wins {m['change_wins']}/{m['pairs']}"
+            f" claim {'holds' if holds else 'fails'}")
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -138,6 +160,8 @@ def main(argv=None) -> int:
     doc["rows"].sort(key=lambda r: (r["workload"], r["seed"]))
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)
+    for m in spec["end_to_end"]:
+        print(claim_line(m["name"], row["metrics"][m["name"]]))
     return 0
 
 
