@@ -86,8 +86,10 @@ MAX_VERTICES = 1_000_000
 # no edges, so it is bounded apart from the input's length.
 MAX_TUPLE_LENGTH = 1_000
 
-# sign tokens per edge line of each kind; a dn document's n is in its header
+# sign tokens per edge line of each kind (a dn document's n is in its
+# header), and the sign each token reads as, in both parsers
 _SIGN_COUNT = {"signed": 1, "bidirected": 2, "di2": 2}
+_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
 
 
 class ParseError(ValueError):
@@ -123,8 +125,8 @@ def _sign_token(lineno: int, line: str, tokens: list[str], i: int) -> Sign:
     if i >= len(tokens):
         raise _fail(lineno, line, i, "missing sign")
     try:
-        return Sign.from_char(tokens[i])
-    except ValueError:
+        return _SIGNS[tokens[i]]
+    except KeyError:
         raise _fail(lineno, line, i, f"sign must be + or -, got {tokens[i]!r}")
 
 
@@ -223,7 +225,6 @@ _HEADER = (
 _EDGES = r"(?:{0}[\r\n][ \t\r\n]*){{0,{1}}}(?:{0}\Z)?"
 # tokens per chunk of edge lines: 4,096 of the benchmark's lines, about 64 KiB
 _CHUNK = 16384
-_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
 
 
 class _SignTuples(dict):

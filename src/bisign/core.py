@@ -37,14 +37,6 @@ class Sign(Enum):
     def __neg__(self) -> "Sign":
         return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
 
-    @classmethod
-    def from_char(cls, ch: str) -> "Sign":
-        if ch == "+":
-            return cls.PLUS
-        if ch == "-":
-            return cls.MINUS
-        raise ValueError(f"not a sign: {ch!r}")
-
     def __str__(self) -> str:
         return "+" if self is Sign.PLUS else "-"
 

@@ -5,8 +5,7 @@ Deliberately independent of the fast paths in ``balance`` and ``uniform``:
 cycles are found by edge-subset sweep, antibalance by checking every cycle's
 parity, and uniformizability by trying every reorientation subset, all 2^m
 of them at once as the bits of one integer, answering with the lowest
-subset that works.  Only the plain data types from ``core`` (plus the cycle
-record) are shared.
+subset that works.  Only the plain data types from ``core`` are shared.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .core import (
     Graph,
     SignedGraph,
 )
-from .balance import CycleWitness
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,12 +82,14 @@ def _cycle(g: Graph, edges: tuple[EdgeId, ...]) -> Optional[tuple[EdgeId, ...]]:
     return tuple(min(walk, [first] + walk[:0:-1]))
 
 
-def enumerate_cycles(g: Graph) -> list[CycleWitness]:
+# a sweep checks every signing of one graph before the next, so the last
+# graph's cycles are the ones reused
+@lru_cache(maxsize=1)
+def enumerate_cycles(g: Graph) -> tuple[tuple[EdgeId, ...], ...]:
     """Every cycle of g exactly once up to rotation and reflection.
 
-    Found by sweeping all edge subsets, each walked by ``_cycle``: the lowest
-    edge id first, then the smaller of the two directions.  Sign fields are
-    filled with + (the callers below re-sign against a signed graph).
+    Found by sweeping all edge subsets, each walked by ``_cycle`` into its
+    edge ids: the lowest edge id first, then the smaller of the two directions.
     """
     m = g.edge_count
     found: list[tuple[EdgeId, ...]] = []
@@ -99,7 +99,7 @@ def enumerate_cycles(g: Graph) -> list[CycleWitness]:
             if walk is not None:
                 found.append(walk)
     found.sort()
-    return [CycleWitness(edges, PLUS) for edges in found]
+    return tuple(found)
 
 
 def _sign_product(s: SignedGraph, edges: tuple[EdgeId, ...]) -> int:
@@ -109,22 +109,14 @@ def _sign_product(s: SignedGraph, edges: tuple[EdgeId, ...]) -> int:
     return sign
 
 
-# a sweep checks every signing of one graph before the next, so the last
-# graph's cycles are the ones reused
-@lru_cache(maxsize=1)
-def _cycle_edges(g: Graph) -> tuple[tuple[EdgeId, ...], ...]:
-    """The edge tuples of ``enumerate_cycles(g)``, in the same order."""
-    return tuple([c.edges for c in enumerate_cycles(g)])
-
-
 def balanced_by_cycles(s: SignedGraph) -> bool:
     """True iff every cycle has positive sign product."""
-    return all(_sign_product(s, c) == 1 for c in _cycle_edges(s.graph))
+    return all(_sign_product(s, c) == 1 for c in enumerate_cycles(s.graph))
 
 
 def antibalanced_by_cycles(s: SignedGraph) -> bool:
     """True iff every even cycle is positive and every odd cycle negative."""
-    return all(_sign_product(s, c) == (-1) ** len(c) for c in _cycle_edges(s.graph))
+    return all(_sign_product(s, c) == (-1) ** len(c) for c in enumerate_cycles(s.graph))
 
 
 # a sweep checks every labeling of one graph before the next, so the last

@@ -77,22 +77,18 @@ def is_uniform(b: BidirectedGraph) -> bool:
     )
 
 
-# the four end-sign pairs, shared by every graph built here, and each
-# pair's negation
-_PAIRS = {(a, c): (a, c) for a in (PLUS, MINUS) for c in (PLUS, MINUS)}
-_NEGATED = {p: _PAIRS[-p[0], -p[1]] for p in _PAIRS}
+# each end-sign pair's negation, one shared tuple per pair for every graph
+_NEGATED = {(a, c): (-a, -c) for a in (PLUS, MINUS) for c in (PLUS, MINUS)}
 
 
 def reorient(b: BidirectedGraph, edges: Iterable[EdgeId]) -> BidirectedGraph:
     """Negate both end signs of each listed edge.  Applying the same set
     twice restores the input."""
-    flip = frozenset(edges)
     m = len(b.graph.edges)
-    for e in flip:
+    beta = list(b.beta)
+    for e in frozenset(edges):
         if not 0 <= e < m:
             raise ValueError(f"unknown edge id {e}")
-    beta = list(b.beta)
-    for e in flip:
         beta[e] = _NEGATED[beta[e]]
     return BidirectedGraph(b.graph, tuple(beta))
 

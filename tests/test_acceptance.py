@@ -63,39 +63,86 @@ def test_criterion_1_theorem1_bijection():
     print(f"PASS criterion 1: pair-label/bidirection bijection on {checked} instances")
 
 
+# Counting theorems for criteria 2-4: switching by a vertex signature mu maps
+# onto the balanced signings with kernel the 2^c per-component constants, so a
+# graph with V vertices, m edges and c components has 2^(V - c) balanced and
+# 2^(V - c) antibalanced signings; each signing has 2^m bidirections, and the
+# uniformizable ones are those whose associated signing is antibalanced,
+# 2^(m + V - c) in all.
+def _components(n, edges):
+    """The number of connected components, isolated vertices included, by a
+    union-find of its own (not the library's BFS forest)."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    c = n
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            c -= 1
+    return c
+
+
 def test_criterion_2_proposition1_equivalence():
-    checked = 0
+    checked = balanced = 0
     for g in enumerate_multigraphs(GraphEnumeration(4, 4)):
+        holds = 0
         for sigma in itertools.product(SIGNS, repeat=g.edge_count):
             s = SignedGraph(g, sigma)
             r = is_balanced(s)
             assert r.holds == balanced_by_cycles(s)
             if r.holds:
                 assert verify_signature(s, r.signature, "balance")
+                holds += 1
             else:
                 assert cycle_sign(s, r.witness) is MINUS
             checked += 1
-    print(f"PASS criterion 2: balance vs cycle oracle on {checked} signings")
+        assert holds == 2 ** (g.vertex_count - _components(g.vertex_count, g.edges)), g
+        balanced += holds
+    print(
+        f"PASS criterion 2: balance vs cycle oracle on {checked} signings, "
+        f"{balanced} balanced, 2^(V - c) per graph"
+    )
 
 
 def test_criterion_3_antibalance_duality():
-    checked = 0
+    checked = antibalanced = 0
     for g in enumerate_multigraphs(GraphEnumeration(4, 4)):
+        holds = 0
         for sigma in itertools.product(SIGNS, repeat=g.edge_count):
             s = SignedGraph(g, sigma)
-            v = is_antibalanced(s).holds
-            assert v == is_balanced(negate_signed(s)).holds
-            assert v == antibalanced_by_cycles(s)
+            r = is_antibalanced(s)
+            assert r.holds == is_balanced(negate_signed(s)).holds
+            assert r.holds == antibalanced_by_cycles(s)
+            if r.holds:
+                assert verify_signature(s, r.signature, "antibalance")
+                holds += 1
+            else:
+                w = r.witness
+                assert w.sign is cycle_sign(s, w)
+                assert (w.sign is PLUS) == (len(w.edges) % 2 == 1)
             checked += 1
-    print(f"PASS criterion 3: antibalance duality on {checked} signings")
+        assert holds == 2 ** (g.vertex_count - _components(g.vertex_count, g.edges)), g
+        antibalanced += holds
+    print(
+        f"PASS criterion 3: antibalance duality on {checked} signings, "
+        f"{antibalanced} antibalanced, 2^(V - c) per graph"
+    )
 
 
 def _criterion_4_checks(graphs):
-    """Check every bidirection of each (vertex_count, edges) graph; the count."""
-    checked = 0
+    """Check every bidirection of each (vertex_count, edges) graph; the
+    number checked and the number uniformizable."""
+    checked = uniformizable = 0
     for n, edges in graphs:
         g = build_graph(n, edges)
         m = g.edge_count
+        holds = 0
         for beta in itertools.product(SIGN_PAIRS, repeat=m):
             b = BidirectedGraph(g, beta)
             r = uniformize(b)
@@ -112,8 +159,11 @@ def _criterion_4_checks(graphs):
                         assert r.signature.mu[v] is PLUS
                     elif role is VertexRole.SOURCE:
                         assert r.signature.mu[v] is MINUS
+                holds += 1
             checked += 1
-    return checked
+        assert holds == 2 ** (m + n - _components(n, edges)), (n, edges)
+        uniformizable += holds
+    return checked, uniformizable
 
 
 def test_criterion_4_theorem2_exhaustive():
@@ -121,8 +171,12 @@ def test_criterion_4_theorem2_exhaustive():
     # every other graph to each of two worker processes; an assertion that
     # fails in a worker is raised again here by map
     with multiprocessing.get_context("fork").Pool(2) as pool:
-        checked = sum(pool.map(_criterion_4_checks, [graphs[0::2], graphs[1::2]]))
-    print(f"PASS criterion 4: uniformization equivalence on {checked} bidirections")
+        counts = pool.map(_criterion_4_checks, [graphs[0::2], graphs[1::2]])
+    checked, uniformizable = map(sum, zip(*counts))
+    print(
+        f"PASS criterion 4: uniformization equivalence on {checked} bidirections, "
+        f"{uniformizable} uniformizable, 2^(m + V - c) per graph"
+    )
 
 
 def test_criterion_5_reorientation_invariance():

@@ -44,7 +44,6 @@ from bisign.cli import (
     run_command,
     serialize,
 )
-from bisign.core import Sign
 from bisign.generate import random_bidirected
 
 from _strategies import bidirected_graphs, di2_graphs, dn_graphs, signed_graphs
@@ -540,7 +539,7 @@ def test_uniformize_certificate_reverifies():
     lines = out.splitlines()
     assert lines[0] == "uniformizable"
     reorient_ids = [int(x) for x in lines[1].split()[1:]]
-    mu = VertexSignature(tuple(Sign.from_char(c) for c in lines[2].split()[1:]))
+    mu = VertexSignature(tuple(cli._SIGNS[c] for c in lines[2].split()[1:]))
     uniform_doc = parse("\n".join(lines[3:]) + "\n")
     original = parse("bidirected 4 4\n0 1 - +\n1 2 - +\n2 3 - +\n3 0 - +\n")
     assert reorient(original, reorient_ids) == uniform_doc
@@ -582,7 +581,7 @@ def test_uniformize_witness_reverifies():
     lines = out.splitlines()
     assert lines[0] == "not-uniformizable"
     parts = lines[1].split()
-    sign = Sign.from_char(parts[1])
+    sign = cli._SIGNS[parts[1]]
     edges = tuple(int(x) for x in parts[2:])
     from bisign import associated_signed
 
