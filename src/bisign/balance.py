@@ -26,6 +26,16 @@ from typing import Optional
 from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _setattr
 from .convert import negate_signed
 
+__all__ = [
+    "BalanceResult",
+    "CycleWitness",
+    "VertexSignature",
+    "cycle_sign",
+    "is_balanced",
+    "is_antibalanced",
+    "verify_signature",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class VertexSignature:

@@ -74,7 +74,6 @@ OVERLAYS = {
     "dn": DnSignedGraph,
 }
 _KIND = {overlay: kind for kind, overlay in OVERLAYS.items()}
-KINDS = tuple(OVERLAYS)
 
 # Largest vertex count a header may declare: the count alone sizes per-vertex
 # arrays (incidence, BFS labels, DOT lines), so it is bounded apart from the
@@ -308,8 +307,7 @@ def parse_documents(text: str) -> list[Overlay]:
     return _parse_stream(text, sys.maxsize)
 
 
-_SIGN_TEXT = {Sign.PLUS: "+", Sign.MINUS: "-"}
-_SPACED_SIGN = {Sign.PLUS: " +", Sign.MINUS: " -"}
+_SPACED_SIGN = {s: f" {s}" for s in Sign}
 
 
 # rows per block of output text: rows are formatted and joined a block at a
@@ -331,10 +329,10 @@ def serialize(x: Overlay) -> str:
     n = f" {x.n}" if kind == "dn" else ""
     if isinstance(x, SignedGraph):
         labels: tuple = x.sigma
-        text: dict = _SIGN_TEXT
+        text = {s: str(s) for s in Sign}
     else:
         labels = x.beta if isinstance(x, BidirectedGraph) else x.labels
-        text = {t: " ".join(map(_SIGN_TEXT.__getitem__, t)) for t in set(labels)}
+        text = {t: " ".join(map(str, t)) for t in set(labels)}
     head = f"{kind}{n} {g.vertex_count} {g.edge_count}\n"
     return _joined([head], (f"{u} {v} {text[t]}\n" for (u, v), t in zip(g.edges, labels)))
 
@@ -371,7 +369,7 @@ def _signature_line(mu: tuple[Sign, ...]) -> str:
 
 
 def _write_failure(out: TextIO, positive_word: str, witness: CycleWitness) -> int:
-    head = f"not-{positive_word}\nwitness {_SIGN_TEXT[witness.sign]}"
+    head = f"not-{positive_word}\nwitness {witness.sign}"
     out.write(_joined([head], (f" {e}" for e in witness.edges), ["\n"]))
     return 1
 
@@ -385,7 +383,7 @@ def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> i
     # the + vertices, then the - vertices, each in id order
     for sign in (Sign.PLUS, Sign.MINUS):
         ids = (f" {v}" for v, x in enumerate(mu) if x is sign)
-        out.write(_joined([f"bipartition {_SIGN_TEXT[sign]}"], ids, ["\n"]))
+        out.write(_joined([f"bipartition {sign}"], ids, ["\n"]))
     return 0
 
 
@@ -479,7 +477,7 @@ def _run_random(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO) 
 # library functions they call in this module at call time, so a wrapper
 # installed here sees the call.
 COMMANDS = {
-    "convert": ("convert between kinds", KINDS, _run_convert),
+    "convert": ("convert between kinds", OVERLAYS, _run_convert),
     "check-balance": ("balance check on a signed graph", ("signed",), _run_balance),
     "check-antibalance": ("antibalance check on a signed graph", ("signed",), _run_antibalance),
     "uniformize": (
@@ -487,7 +485,7 @@ COMMANDS = {
     ),
     "decompose": ("split a dn document into bidirections and center", ("dn",), _run_decompose),
     "compose": ("reassemble a dn document", None, _run_compose),
-    "export-dot": ("DOT output", KINDS, _run_export_dot),
+    "export-dot": ("DOT output", OVERLAYS, _run_export_dot),
     "random": ("seeded random bidirected graph", None, _run_random),
 }
 

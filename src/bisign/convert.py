@@ -20,6 +20,17 @@ from .core import (
     SignedGraph,
 )
 
+__all__ = [
+    "DnDecomposition",
+    "di2_to_bidirected",
+    "bidirected_to_di2",
+    "associated_signed",
+    "negate_signed",
+    "induced_signed",
+    "decompose_dn",
+    "compose_dn",
+]
+
 
 def di2_to_bidirected(d: Di2SignedGraph) -> BidirectedGraph:
     """The first label component becomes the side-0 end sign, the second the

@@ -16,6 +16,21 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Union
 
+__all__ = [
+    "PLUS",
+    "MINUS",
+    "Sign",
+    "Graph",
+    "VertexId",
+    "EdgeId",
+    "BidirectedGraph",
+    "SignedGraph",
+    "Di2SignedGraph",
+    "DnSignedGraph",
+    "build_graph",
+    "oriented_label",
+]
+
 VertexId = int
 EdgeId = int
 

@@ -18,6 +18,15 @@ from .core import MINUS, PLUS, BidirectedGraph, EdgeId, VertexId, _setattr
 from .convert import associated_signed
 from .balance import CycleWitness, VertexSignature, is_antibalanced
 
+__all__ = [
+    "VertexRole",
+    "UniformizationResult",
+    "vertex_role",
+    "is_uniform",
+    "reorient",
+    "uniformize",
+]
+
 
 class VertexRole(Enum):
     SOURCE = "source"

@@ -1,0 +1,127 @@
+"""Mutation run: each mutant breaks the library in one place, and the tests
+named beside it must catch it.
+
+    python tests/mutants.py
+
+For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
+temporary directory and one snippet is replaced there.  The snippet must
+occur exactly once in its file, so a refactor that removes or repeats it
+fails here, and the table is updated with it.  The named tests then run on
+the copy with ``-x -q`` and must fail; an unmutated copy must pass the same
+tests.  Nothing is written into the checkout: bytecode and the pytest cache
+are off, and hypothesis keeps its database in the copy.  Exits 0 when every
+mutant is caught and the unmutated copy passes, 1 otherwise.
+
+pytest does not collect this file (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LINE_ROWS = "tests/test_cli.py::test_parse_errors_carry_line_numbers"
+NEAR_CANONICAL = "tests/test_cli.py::test_bulk_parse_declines_near_canonical"
+
+# (name, file under src/bisign, snippet, replacement, tests that must catch it)
+MUTANTS = (
+    (
+        "is_balanced skips the last non-tree edge",
+        "balance.py",
+        "for e in nontree:",
+        "for e in nontree[:-1]:",
+        ["tests/test_acceptance.py::test_criterion_2_proposition1_equivalence"],
+    ),
+    (
+        "the balance witness is signed +",
+        "balance.py",
+        "CycleWitness((e, *pv, *reversed(pu)), MINUS)",
+        "CycleWitness((e, *pv, *reversed(pu)), PLUS)",
+        ["tests/test_balance.py::test_agrees_with_oracle_small_exhaustive"],
+    ),
+    (
+        r"\d for [0-9] in the bulk edge-line pattern",
+        "cli.py",
+        'line = r"[0-9]+[ \\t]+[0-9]+"',
+        'line = r"\\d+[ \\t]+\\d+"',
+        [
+            LINE_ROWS + r"[signed 2 1\n0 \u0661 +\n-2]",
+            LINE_ROWS + "[warm-fullwidth]",
+            NEAR_CANONICAL + r"[bidirected 3 2\n0 1 + -\n1 \u0662 - +\n-error12]",
+        ],
+    ),
+    (
+        "the bulk parser does not check the edge count",
+        "cli.py",
+        "        if len(pairs) != ecount:\n            return None\n",
+        "",
+        [NEAR_CANONICAL],
+    ),
+    (
+        "the forest scans each vertex's half-edges in reverse",
+        "core.py",
+        "for h in incidence[u]:",
+        "for h in reversed(incidence[u]):",
+        ["tests/test_core.py::test_forest_matches_reference_bfs"],
+    ),
+    (
+        r"the bulk edge lines have no \Z tail",
+        "cli.py",
+        r"(?:{0}\Z)?",
+        r"(?:{0})?",
+        [NEAR_CANONICAL + r"[bidirected 3 2\n0 1 + -\n1 2 - +x-error14]"],
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def run_tests(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="bisign-mutants-") as tmp:
+        base = Path(tmp) / "unmutated"
+        copy_tree(base)
+        tests = list(dict.fromkeys(t for *_, named in MUTANTS for t in named))
+        done = run_tests(base, tests)
+        if done.returncode != 0:
+            print(f"FAIL unmutated copy: exit {done.returncode}\n{done.stdout}{done.stderr}")
+            ok = False
+        for i, (name, file, snippet, replacement, named) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant-{i}"
+            copy_tree(tree)
+            path = tree / "src" / "bisign" / file
+            text = path.read_text()
+            if text.count(snippet) != 1:
+                print(f"FAIL {name}: snippet occurs {text.count(snippet)} times in {file}")
+                ok = False
+                continue
+            path.write_text(text.replace(snippet, replacement))
+            done = run_tests(tree, named)
+            # exit 1 is a failed test; anything else (2-5) is a broken run
+            if done.returncode == 1:
+                print(f"caught {name}")
+            else:
+                print(f"FAIL {name}: exit {done.returncode}\n{done.stdout}{done.stderr}")
+                ok = False
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

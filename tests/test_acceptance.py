@@ -135,6 +135,46 @@ def test_criterion_3_antibalance_duality():
     )
 
 
+def _signing_counts(graphs):
+    """Check both verdicts on every signing of each (vertex_count, edges)
+    graph against the closed-form counts and their certificates; the number
+    of signings checked."""
+    checked = 0
+    for n, edges in graphs:
+        g = build_graph(n, edges)
+        balanced = antibalanced = 0
+        for sigma in itertools.product(SIGNS, repeat=g.edge_count):
+            s = SignedGraph(g, sigma)
+            r = is_balanced(s)
+            if r.holds:
+                assert verify_signature(s, r.signature, "balance")
+                balanced += 1
+            else:
+                assert r.witness.sign is MINUS is cycle_sign(s, r.witness)
+            r = is_antibalanced(s)
+            if r.holds:
+                assert verify_signature(s, r.signature, "antibalance")
+                antibalanced += 1
+            else:
+                assert r.witness.sign is cycle_sign(s, r.witness)
+            checked += 1
+        assert balanced == antibalanced == 2 ** (n - _components(n, edges)), (n, edges)
+    return checked
+
+
+def test_counting_theorems_one_bound_past_brute_force():
+    # no 2^m cycle oracle here: the closed-form counts and the certificates
+    # check every verdict on graphs with one vertex more than criteria 2-3,
+    # every other graph on each of two worker processes
+    graphs = [(g.vertex_count, g.edges) for g in enumerate_multigraphs(GraphEnumeration(5, 5))]
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        checked = sum(pool.map(_signing_counts, [graphs[0::2], graphs[1::2]]))
+    print(
+        f"PASS counting theorems: {checked} signings of {len(graphs)} graphs on <= 5 "
+        f"vertices and <= 5 edges, 2^(V - c) balanced and 2^(V - c) antibalanced per graph"
+    )
+
+
 def _criterion_4_checks(graphs):
     """Check every bidirection of each (vertex_count, edges) graph; the
     number checked and the number uniformizable."""

@@ -347,6 +347,8 @@ _CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
     (_CANON.replace("1 2", "1 \u0662"),
      (3, 3, "endpoint must be a nonnegative integer, got '\u0662'")),
     ("signed 2 1 9\n0 1 +\n", (1, 12, "trailing tokens after header")),
+    # a stray character glued to the last sign, with no final line end
+    (_CANON[:-1] + "x", (3, 7, "sign must be + or -, got '+x'")),
 ])
 def test_bulk_parse_declines_near_canonical(text, error):
     # the bulk parser takes the valid texts and declines the others, which
