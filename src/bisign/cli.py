@@ -14,9 +14,9 @@ parse error:
                                               signed, 2 for bidirected/di2,
                                               n for dn
 
-Counts and vertex ids are ASCII digits.  Every valid text is parsed in bulk;
-the line parser runs only from the first document the bulk parser declines, to
-name the line and column of its first error, and is the tests' reference.
+Counts and vertex ids are ASCII digits.  Only the bulk parser builds documents;
+the line checker builds nothing, and reads on from the first row the bulk pass
+did not vouch for to name the line and column of the first error.
 
 A document parses to its overlay object (``SignedGraph``, ``BidirectedGraph``,
 ``Di2SignedGraph`` or ``DnSignedGraph``), and ``OVERLAYS`` names the kind of
@@ -142,8 +142,9 @@ def _rows(text: str) -> list[tuple[int, str]]:
     return [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
 
 
-def _parse_one(rows: list[tuple[int, str]], at: int) -> tuple[Overlay, int]:
-    """The document headed by ``rows[at]``, and the index of the row after it."""
+def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> int:
+    """Raise the first error of the document headed by ``rows[at]``, past its
+    first ``skip`` edge lines; else return the index of the row after it."""
     if at == len(rows):
         # only an input without a non-blank line ends before a header
         raise ParseError(1, 1, "unexpected end of input")
@@ -171,9 +172,7 @@ def _parse_one(rows: list[tuple[int, str]], at: int) -> tuple[Overlay, int]:
 
     # edge lines hold two endpoints, then the sign tokens up to token ``end``
     end = 2 + _SIGN_COUNT.get(kind, n)
-    pairs: list[tuple[int, int]] = []
-    labels: list = []
-    for lineno, line in rows[at + 1 : at + 1 + ecount]:
+    for lineno, line in rows[at + 1 + skip : at + 1 + ecount]:
         tokens = line.split()
         u = _int_token(lineno, line, tokens, 0, "endpoint")
         v = _int_token(lineno, line, tokens, 1, "endpoint")
@@ -181,29 +180,14 @@ def _parse_one(rows: list[tuple[int, str]], at: int) -> tuple[Overlay, int]:
             raise _fail(lineno, line, 0, f"vertex {u} out of range (< {vcount})")
         if v >= vcount:
             raise _fail(lineno, line, 1, f"vertex {v} out of range (< {vcount})")
-        signs = tuple(_sign_token(lineno, line, tokens, i) for i in range(2, end))
+        for i in range(2, end):
+            _sign_token(lineno, line, tokens, i)
         if len(tokens) > end:
             raise _fail(lineno, line, end, "trailing tokens on edge line")
-        pairs.append((u, v))
-        labels.append(signs[0] if kind == "signed" else signs)
-    if len(pairs) < ecount:
-        # lineno is the last non-blank line: the header's, or the last edge's
-        raise ParseError(lineno, 1, "unexpected end of input")
-    return _overlay(kind, n, vcount, pairs, labels), at + 1 + ecount
-
-
-def _parse_lines(text: str, at: int = 0, limit: int = sys.maxsize) -> list[Overlay]:
-    """The documents from non-blank row ``at`` on, read line by line; a row past
-    ``limit`` of them is trailing input.  The bulk parser's reference and error reporter."""
-    rows = _rows(text)
-    docs: list[Overlay] = []
-    while at < len(rows):
-        if len(docs) == limit:
-            lineno, line = rows[at]
-            raise _fail(lineno, line, 0, "trailing input after document")
-        doc, at = _parse_one(rows, at)
-        docs.append(doc)
-    return docs
+    if at + ecount >= len(rows):
+        # the document runs to the last non-blank line: the header's, or an edge's
+        raise ParseError(rows[-1][0], 1, "unexpected end of input")
+    return at + 1 + ecount
 
 
 def _overlay(kind: str, n: int, vcount: int, pairs: list, labels: list) -> Overlay:
@@ -234,18 +218,19 @@ class _SignTuples(dict):
         return signs
 
 
-def _parse_bulk(text: str, pos: int) -> Optional[tuple[Overlay, int]]:
+def _parse_bulk(text: str, pos: int) -> tuple[Optional[Overlay], int]:
     """The document at ``text[pos:]`` and the index where its edge lines stop
-    matching, or None where the line parser would raise.  The edge lines are
-    matched and split a chunk at a time, so the token lists stay small."""
+    matching; or, where the document has an error, None and how many of its
+    edge lines are known to be valid.  The edge lines are matched and split a
+    chunk at a time, so the token lists stay small."""
     head = re.compile(_HEADER).match(text, pos)
     if head is None:
-        return None
+        return None, 0
     kind = head[1] or "dn"
     try:  # int() past its digit limit, or build_graph on an endpoint out of range
         n, vcount, ecount = int(head[2] or 0), int(head[3]), int(head[4])
         if vcount > MAX_VERTICES or (kind == "dn" and not 1 <= n <= MAX_TUPLE_LENGTH):
-            return None
+            return None, 0
         width = 2 + _SIGN_COUNT.get(kind, n)
         line = r"[0-9]+[ \t]+[0-9]+" + r"[ \t]+[+-]" * (width - 2) + r"[ \t]*"
         chunk = _CHUNK // width
@@ -266,25 +251,29 @@ def _parse_bulk(text: str, pos: int) -> Optional[tuple[Overlay, int]]:
             if len(tokens) != chunk * width:  # the edge lines stopped matching
                 break
         if len(pairs) != ecount:
-            return None
+            # the matched lines are valid where their endpoints are in range
+            return None, len(pairs) if max(map(max, pairs), default=0) < vcount else 0
         return _overlay(kind, n, vcount, pairs, labels), pos
     except ValueError:
-        return None
+        return None, 0
 
 
 def _parse_stream(text: str, limit: int) -> list[Overlay]:
     """Up to ``limit`` documents of a text, and no input after them.  Each is
     parsed in bulk from where the previous one's edge lines stop matching.  The
-    line parser reads on from the first document the bulk parser declines, at
+    line checker reads on from the first document the bulk parser declines, at
     row ``at``: each document before it took 1 + edge_count non-blank rows."""
     docs: list[Overlay] = []
     at = 0
     pos = re.compile(r"[ \t\r\n]*").match(text).end()
     while pos < len(text):
-        got = _parse_bulk(text, pos) if len(docs) < limit else None
-        if got is None:
-            return docs + _parse_lines(text, at, limit - len(docs))
-        doc, pos = got
+        doc, pos = _parse_bulk(text, pos) if len(docs) < limit else (None, 0)
+        if doc is None:  # pos is how many edge lines the checker may skip
+            rows = _rows(text)
+            for _ in range(limit - len(docs)):
+                at, pos = _check_one(rows, at, pos), 0
+            lineno, line = rows[at]
+            raise _fail(lineno, line, 0, "trailing input after document")
         docs.append(doc)
         at += 1 + doc.graph.edge_count
     return docs
@@ -293,12 +282,13 @@ def _parse_stream(text: str, limit: int) -> list[Overlay]:
 def parse(text: str) -> Overlay:
     """Parse exactly one document into its overlay; strict about every token.
 
-    Every valid text is parsed in bulk; the line parser, the only source of
-    ``ParseError``, names the line and column of the first error.
+    Every valid text is parsed in bulk; the line checker, the only source of
+    ``ParseError``, builds nothing and names the line and column of the first
+    error, reading from the first row the bulk pass did not vouch for.
     """
     docs = _parse_stream(text, 1)
     if not docs:
-        _parse_one(_rows(text), 0)  # raises: the text has no non-blank line
+        _check_one(_rows(text), 0)  # raises: the text has no non-blank line
     return docs[0]
 
 

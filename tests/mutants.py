@@ -59,7 +59,14 @@ MUTANTS = (
     (
         "the bulk parser does not check the edge count",
         "cli.py",
-        "        if len(pairs) != ecount:\n            return None\n",
+        "if len(pairs) != ecount:",
+        "if False:",
+        [NEAR_CANONICAL],
+    ),
+    (
+        "the checker skips matched lines with an endpoint out of range",
+        "cli.py",
+        " if max(map(max, pairs), default=0) < vcount else 0",
         "",
         [NEAR_CANONICAL],
     ),
@@ -76,6 +83,27 @@ MUTANTS = (
         r"(?:{0}\Z)?",
         r"(?:{0})?",
         [NEAR_CANONICAL + r"[bidirected 3 2\n0 1 + -\n1 2 - +x-error14]"],
+    ),
+    (
+        "the bulk chunk repeat is one line short",
+        "cli.py",
+        "_EDGES.format(line, chunk)",
+        "_EDGES.format(line, chunk - 1)",
+        ["tests/test_cli.py::test_bulk_parse_chunk_boundaries"],
+    ),
+    (
+        "the argparser is built per call",
+        "cli.py",
+        "@lru_cache(maxsize=1)",
+        "",
+        ["tests/test_cli.py::test_warm_calls_leave_no_cyclic_garbage"],
+    ),
+    (
+        "the oracle imports bisign.balance",
+        "oracle.py",
+        "from .core import (",
+        "from .balance import is_balanced\nfrom .core import (",
+        ["tests/test_oracle.py::test_oracle_imports_only_core"],
     ),
 )
 

@@ -36,7 +36,6 @@ from bisign.cli import (
     MAX_VERTICES,
     ParseError,
     _parse_bulk,
-    _parse_lines,
     export_dot,
     main,
     parse,
@@ -212,18 +211,100 @@ def test_parse_is_total(text):
         assert parse(serialize(x)) == x
 
 
+def _parse_one(rows, at):
+    """The document headed by ``rows[at]``, and the index of the row after it."""
+    if at == len(rows):
+        # only an input without a non-blank line ends before a header
+        raise ParseError(1, 1, "unexpected end of input")
+    lineno, header = rows[at]
+    tokens = header.split()
+    kind = tokens[0]
+    if kind not in cli.OVERLAYS:
+        raise cli._fail(lineno, header, 0, f"unknown kind {kind!r}")
+    i = 1
+    n = 0
+    if kind == "dn":
+        n = cli._int_token(lineno, header, tokens, i, "tuple length n")
+        if n < 1:
+            raise cli._fail(lineno, header, i, "tuple length n must be >= 1")
+        if n > MAX_TUPLE_LENGTH:
+            message = f"tuple length {n} exceeds the limit {MAX_TUPLE_LENGTH}"
+            raise cli._fail(lineno, header, i, message)
+        i += 1
+    vcount = cli._int_token(lineno, header, tokens, i, "vertex count")
+    if vcount > MAX_VERTICES:
+        raise cli._fail(lineno, header, i, f"vertex count {vcount} exceeds the limit {MAX_VERTICES}")
+    ecount = cli._int_token(lineno, header, tokens, i + 1, "edge count")
+    if len(tokens) > i + 2:
+        raise cli._fail(lineno, header, i + 2, "trailing tokens after header")
+
+    # edge lines hold two endpoints, then the sign tokens up to token ``end``
+    end = 2 + cli._SIGN_COUNT.get(kind, n)
+    pairs = []
+    labels = []
+    for lineno, line in rows[at + 1 : at + 1 + ecount]:
+        tokens = line.split()
+        u = cli._int_token(lineno, line, tokens, 0, "endpoint")
+        v = cli._int_token(lineno, line, tokens, 1, "endpoint")
+        if u >= vcount:
+            raise cli._fail(lineno, line, 0, f"vertex {u} out of range (< {vcount})")
+        if v >= vcount:
+            raise cli._fail(lineno, line, 1, f"vertex {v} out of range (< {vcount})")
+        signs = tuple(cli._sign_token(lineno, line, tokens, i) for i in range(2, end))
+        if len(tokens) > end:
+            raise cli._fail(lineno, line, end, "trailing tokens on edge line")
+        pairs.append((u, v))
+        labels.append(signs[0] if kind == "signed" else signs)
+    if len(pairs) < ecount:
+        # lineno is the last non-blank line: the header's, or the last edge's
+        raise ParseError(lineno, 1, "unexpected end of input")
+    return cli._overlay(kind, n, vcount, pairs, labels), at + 1 + ecount
+
+
+def _parse_lines(text, at=0, limit=sys.maxsize):
+    """The documents from non-blank row ``at`` on, read line by line; a row past
+    ``limit`` of them is trailing input.  The tests' reference for the parsers:
+    the bulk parser must build what it builds, and the line checker must raise
+    what it raises."""
+    rows = cli._rows(text)
+    docs = []
+    while at < len(rows):
+        if len(docs) == limit:
+            lineno, line = rows[at]
+            raise cli._fail(lineno, line, 0, "trailing input after document")
+        doc, at = _parse_one(rows, at)
+        docs.append(doc)
+    return docs
+
+
+def _parse_line_by_line(text):
+    # parse's reference: exactly one document, read line by line
+    docs = _parse_lines(text, 0, 1)
+    if not docs:
+        _parse_one(cli._rows(text), 0)  # raises: the text has no non-blank line
+    return docs[0]
+
+
+def _outcome(parse_text, text):
+    # what parse_text gives for text: its overlays, or its ParseError's message
+    try:
+        return parse_text(text)
+    except ParseError as e:
+        return str(e)
+
+
 def _same_parse(x, text):
-    # the line parser's result for a text of one document
+    # the reference line parser's result for a text of one document
     (y,) = _parse_lines(text)
     assert y == x and type(y) is type(x)
 
 
 class _LineParserRan(Exception):
-    """Raised in place of the line parser: the bulk parser declined a text."""
+    """Raised in place of the line checker: the bulk parser declined a text."""
 
 
 def _no_line_parser():
-    # the line parser's first step raises instead; not a ValueError, so it
+    # the line checker's first step raises instead; not a ValueError, so it
     # also passes through run_command
     return mock.patch.object(cli, "_rows", side_effect=_LineParserRan)
 
@@ -275,15 +356,13 @@ _SERIALIZED = st.lists(
 @settings(max_examples=500)
 @given(_respaced(st.one_of(_NEAR_DOCUMENTS, _SERIALIZED)))
 def test_bulk_parse_agrees_with_line_parser(text):
-    # with the line parser switched off, parse_documents gives the line
-    # parser's overlays wherever it accepts the text, and declines wherever it
-    # raises; parse does the same for a text of exactly one document
-    try:
-        want = _parse_lines(text)
-    except ParseError:
-        want = None
-    assert _bulk_only(parse_documents, text) == want
-    assert _bulk_only(parse, text) == (want[0] if want and len(want) == 1 else None)
+    # parse_documents gives the line parser's overlays wherever it accepts the
+    # text, through the bulk parser alone, and raises its message wherever it
+    # raises; parse does the same against the line parser's one-document read
+    for parse_text, reference in ((parse_documents, _parse_lines), (parse, _parse_line_by_line)):
+        want = _outcome(reference, text)
+        assert _outcome(parse_text, text) == want
+        assert _bulk_only(parse_text, text) == (None if isinstance(want, str) else want)
 
 
 @given(st.one_of(signed_graphs(), bidirected_graphs(), di2_graphs(), dn_graphs()))
@@ -336,7 +415,7 @@ _CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
     (_CANON.replace("-\n1", "-\n\n1"), None),
     (_CANON[:-1], None),
     (_CANON.replace("1 2", "00000001 2"), None),
-    # invalid: the line parser reports it
+    # invalid: the line checker reports it
     (_CANON.replace("1 2", "1 3"), (3, 3, "vertex 3 out of range (< 3)")),
     (_CANON + "2 0 + +\n", (4, 1, "trailing input after document")),
     (_CANON.replace("1 2 - +\n", ""), (2, 1, "unexpected end of input")),
@@ -349,10 +428,13 @@ _CANON = "bidirected 3 2\n0 1 + -\n1 2 - +\n"
     ("signed 2 1 9\n0 1 +\n", (1, 12, "trailing tokens after header")),
     # a stray character glued to the last sign, with no final line end
     (_CANON[:-1] + "x", (3, 7, "sign must be + or -, got '+x'")),
+    # a short document whose matched edge line is out of range: the checker
+    # skips no line the bulk pass did not range-check
+    ("signed 1 2\n0 1 +\n", (2, 3, "vertex 1 out of range (< 1)")),
 ])
 def test_bulk_parse_declines_near_canonical(text, error):
     # the bulk parser takes the valid texts and declines the others, which
-    # the line parser reports
+    # the line checker reports
     if error is None:
         assert _bulk_only(parse, text) == parse(_CANON)
         _same_parse(parse(text), text)
@@ -366,18 +448,47 @@ def test_bulk_parse_declines_near_canonical(text, error):
 
 
 def test_line_parser_starts_at_the_declined_document():
-    # a document the bulk parser took is not read again by the line parser
+    # a document the bulk parser took is not read again by the line checker
     big = serialize(random_bidirected(2000, 5000, True, True, 3))
     cases = [
         (parse, big + "signed 1 0\n", (5002, 1, "trailing input after document")),
         (parse_documents, big + "signed 1 1\n0 0 x\n", (5003, 5, "sign must be + or -, got 'x'")),
     ]
     for parse_text, text, (line, column, message) in cases:
-        with mock.patch.object(cli, "_parse_one", wraps=cli._parse_one) as spy:
+        with mock.patch.object(cli, "_check_one", wraps=cli._check_one) as spy:
             with pytest.raises(ParseError) as e:
                 parse_text(text)
         assert str(e.value) == f"line {line}, column {column}: {message}"
         assert all(call.args[1] > 0 for call in spy.call_args_list)
+
+
+_BIG = serialize(random_bidirected(5000, 10000, True, True, 3))
+
+
+_LAST_ROW = _BIG.rindex("\n", 0, -1) + 1
+
+
+@pytest.mark.parametrize("parse_text,reference,text,error", [
+    (parse, _parse_line_by_line, _BIG[:-2] + "x\n", (10001, 13, "sign must be + or -, got 'x'")),
+    (parse, _parse_line_by_line, _BIG[:_LAST_ROW], (10000, 1, "unexpected end of input")),
+    (parse, _parse_line_by_line, _BIG + "0 1 + +\n", (10002, 1, "trailing input after document")),
+    (parse_documents, _parse_lines, _BIG[:-2] + "x\n", (10001, 13, "sign must be + or -, got 'x'")),
+    (parse_documents, _parse_lines, _BIG[:_LAST_ROW], (10000, 1, "unexpected end of input")),
+    (parse_documents, _parse_lines, _BIG + "0 1 + +\n", (10002, 1, "unknown kind '0'")),
+], ids=["parse-last-sign", "parse-one-edge-short", "parse-one-edge-extra",
+        "stream-last-sign", "stream-one-edge-short", "stream-one-edge-extra"])
+def test_line_checker_reads_only_the_unmatched_rows(parse_text, reference, text, error):
+    # on an error at the end of a 10,000-edge document, the line checker splits
+    # the text into rows once and tokenizes only the header's counts and at
+    # most the one row the bulk pass did not vouch for
+    line, column, message = error
+    want = f"line {line}, column {column}: {message}"
+    assert _outcome(reference, text) == want
+    with mock.patch.object(cli, "_rows", wraps=cli._rows) as rows, \
+            mock.patch.object(cli, "_int_token", wraps=cli._int_token) as ints:
+        assert _outcome(parse_text, text) == want
+    assert rows.call_count == 1
+    assert ints.call_count <= 4
 
 
 def test_serialize_canonical():
