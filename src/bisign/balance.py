@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _setattr
+from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _setters
 from .convert import negate_signed
 
 __all__ = [
@@ -37,11 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VertexSignature:
     """A total vertex sign labeling mu."""
 
     mu: tuple[Sign, ...]
+
+    def __init__(self, mu: tuple[Sign, ...]):
+        _vs_mu(self, mu)
+
+
+(_vs_mu,) = _setters(VertexSignature)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -53,8 +59,11 @@ class CycleWitness:
     sign: Sign
 
     def __init__(self, edges: tuple[EdgeId, ...], sign: Sign):
-        _setattr(self, "edges", edges)
-        _setattr(self, "sign", sign)
+        _cw_edges(self, edges)
+        _cw_sign(self, sign)
+
+
+_cw_edges, _cw_sign = _setters(CycleWitness)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -69,12 +78,15 @@ class BalanceResult:
         signature: Optional[VertexSignature] = None,
         witness: Optional[CycleWitness] = None,
     ):
-        _setattr(self, "signature", signature)
-        _setattr(self, "witness", witness)
+        _br_signature(self, signature)
+        _br_witness(self, witness)
 
     @property
     def holds(self) -> bool:
         return self.witness is None
+
+
+_br_signature, _br_witness = _setters(BalanceResult)
 
 
 def closed_walk_vertices(graph: Graph, edges: tuple[EdgeId, ...]) -> list[VertexId]:

@@ -106,6 +106,11 @@ def _fail(lineno: int, line: str, token_index: int, message: str) -> ParseError:
     return ParseError(lineno, col, message)
 
 
+def _shown(tok: str) -> str:
+    # a token's first 20 characters at most: a message stays short for any input
+    return repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}..."
+
+
 def _int_token(lineno: int, line: str, tokens: list[str], i: int, what: str) -> int:
     if i >= len(tokens):
         raise _fail(lineno, line, i, f"missing {what}")
@@ -117,7 +122,7 @@ def _int_token(lineno: int, line: str, tokens: list[str], i: int, what: str) -> 
             return int(tok)
         except ValueError:  # past int()'s digit limit
             pass
-    raise _fail(lineno, line, i, f"{what} must be a nonnegative integer, got {tok!r}")
+    raise _fail(lineno, line, i, f"{what} must be a nonnegative integer, got {_shown(tok)}")
 
 
 def _sign_token(lineno: int, line: str, tokens: list[str], i: int) -> Sign:
@@ -126,7 +131,7 @@ def _sign_token(lineno: int, line: str, tokens: list[str], i: int) -> Sign:
     try:
         return _SIGNS[tokens[i]]
     except KeyError:
-        raise _fail(lineno, line, i, f"sign must be + or -, got {tokens[i]!r}")
+        raise _fail(lineno, line, i, f"sign must be + or -, got {_shown(tokens[i])}")
 
 
 def _rows(text: str) -> list[tuple[int, str]]:
@@ -152,7 +157,7 @@ def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> int:
     tokens = header.split()
     kind = tokens[0]
     if kind not in OVERLAYS:
-        raise _fail(lineno, header, 0, f"unknown kind {kind!r}")
+        raise _fail(lineno, header, 0, f"unknown kind {_shown(kind)}")
     i = 1
     n = 0
     if kind == "dn":

@@ -10,7 +10,7 @@ side 0 to side 1, and all stored label tuples are relative to it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -182,9 +182,11 @@ def build_graph(
     return Graph(vertex_count, edges)  # type: ignore[arg-type]
 
 
-# the explicit __init__ of a frozen value type stores each field through
-# this, past the frozen __setattr__
-_setattr = object.__setattr__
+def _setters(cls) -> tuple:
+    """Each field slot's ``__set__``, in field order, read from the class
+    that ``@dataclass(slots=True)`` returned (the decorator rebuilds it)."""
+    # __init__ stores through these: past the frozen __setattr__, no by-name lookup
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -201,8 +203,11 @@ class BidirectedGraph:
     def __init__(self, graph: Graph, beta: tuple[tuple[Sign, Sign], ...]):
         if len(beta) != len(graph.edges):
             raise ValueError("beta must cover every edge")
-        _setattr(self, "graph", graph)
-        _setattr(self, "beta", beta)
+        _bg_graph(self, graph)
+        _bg_beta(self, beta)
+
+
+_bg_graph, _bg_beta = _setters(BidirectedGraph)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -215,8 +220,11 @@ class SignedGraph:
     def __init__(self, graph: Graph, sigma: tuple[Sign, ...]):
         if len(sigma) != len(graph.edges):
             raise ValueError("sigma must cover every edge")
-        _setattr(self, "graph", graph)
-        _setattr(self, "sigma", sigma)
+        _sg_graph(self, graph)
+        _sg_sigma(self, sigma)
+
+
+_sg_graph, _sg_sigma = _setters(SignedGraph)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -230,8 +238,11 @@ class Di2SignedGraph:
     def __init__(self, graph: Graph, labels: tuple[tuple[Sign, Sign], ...]):
         if len(labels) != len(graph.edges):
             raise ValueError("labels must cover every edge")
-        _setattr(self, "graph", graph)
-        _setattr(self, "labels", labels)
+        _d2_graph(self, graph)
+        _d2_labels(self, labels)
+
+
+_d2_graph, _d2_labels = _setters(Di2SignedGraph)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -251,9 +262,12 @@ class DnSignedGraph:
         for e, t in enumerate(labels):
             if len(t) != n:
                 raise ValueError(f"edge {e}: tuple length {len(t)} != n={n}")
-        _setattr(self, "n", n)
-        _setattr(self, "graph", graph)
-        _setattr(self, "labels", labels)
+        _dn_n(self, n)
+        _dn_graph(self, graph)
+        _dn_labels(self, labels)
+
+
+_dn_n, _dn_graph, _dn_labels = _setters(DnSignedGraph)
 
 
 def oriented_label(

@@ -62,9 +62,8 @@ def _cycle(g: Graph, edges: tuple[EdgeId, ...]) -> Optional[tuple[EdgeId, ...]]:
         u, v = ends[e]
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
-    for d in degree.values():
-        if d != 2:
-            return None
+    if any(d != 2 for d in degree.values()):
+        return None
     first = edges[0]
     rest = list(edges[1:])
     start, cur = ends[first]
@@ -92,14 +91,8 @@ def enumerate_cycles(g: Graph) -> tuple[tuple[EdgeId, ...], ...]:
     edge ids: the lowest edge id first, then the smaller of the two directions.
     """
     m = g.edge_count
-    found: list[tuple[EdgeId, ...]] = []
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            walk = _cycle(g, subset)
-            if walk is not None:
-                found.append(walk)
-    found.sort()
-    return tuple(found)
+    walks = (_cycle(g, s) for size in range(1, m + 1) for s in combinations(range(m), size))
+    return tuple(sorted(w for w in walks if w is not None))
 
 
 def _sign_product(s: SignedGraph, edges: tuple[EdgeId, ...]) -> int:

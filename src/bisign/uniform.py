@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .core import MINUS, PLUS, BidirectedGraph, EdgeId, VertexId, _setattr
+from .core import MINUS, PLUS, BidirectedGraph, EdgeId, VertexId, _setters
 from .convert import associated_signed
 from .balance import CycleWitness, VertexSignature, is_antibalanced
 
@@ -53,14 +53,17 @@ class UniformizationResult:
         signature: Optional[VertexSignature] = None,
         witness: Optional[CycleWitness] = None,
     ):
-        _setattr(self, "reorient_set", reorient_set)
-        _setattr(self, "uniform", uniform)
-        _setattr(self, "signature", signature)
-        _setattr(self, "witness", witness)
+        _ur_reorient_set(self, reorient_set)
+        _ur_uniform(self, uniform)
+        _ur_signature(self, signature)
+        _ur_witness(self, witness)
 
     @property
     def holds(self) -> bool:
         return self.witness is None
+
+
+_ur_reorient_set, _ur_uniform, _ur_signature, _ur_witness = _setters(UniformizationResult)
 
 
 def vertex_role(b: BidirectedGraph, v: VertexId) -> VertexRole:

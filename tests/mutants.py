@@ -78,6 +78,29 @@ MUTANTS = (
         ["tests/test_core.py::test_forest_matches_reference_bfs"],
     ),
     (
+        "the forest caches the incidence on the graph",
+        "core.py",
+        "incidence = Graph.incidence.func(self)",
+        "incidence = self.incidence",
+        ["tests/test_core.py::test_forest_matches_reference_bfs"],
+    ),
+    (
+        "odd antibalance witnesses are signed -",
+        "balance.py",
+        "CycleWitness(w.edges, PLUS))",
+        "CycleWitness(w.edges, MINUS))",
+        ["tests/test_balance.py::test_all_positive_triangle_not_antibalanced",
+         "tests/test_balance.py::test_agrees_with_oracle_small_exhaustive"],
+    ),
+    (
+        "the balance signature is reversed",
+        "balance.py",
+        "VertexSignature(tuple(mu))",
+        "VertexSignature(tuple(mu[::-1]))",
+        ["tests/test_balance.py::test_agrees_with_oracle_small_exhaustive",
+         "tests/test_balance.py::test_matches_reference_on_every_small_labeling"],
+    ),
+    (
         r"the bulk edge lines have no \Z tail",
         "cli.py",
         r"(?:{0}\Z)?",

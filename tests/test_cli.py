@@ -220,7 +220,7 @@ def _parse_one(rows, at):
     tokens = header.split()
     kind = tokens[0]
     if kind not in cli.OVERLAYS:
-        raise cli._fail(lineno, header, 0, f"unknown kind {kind!r}")
+        raise cli._fail(lineno, header, 0, f"unknown kind {cli._shown(kind)}")
     i = 1
     n = 0
     if kind == "dn":
@@ -445,6 +445,25 @@ def test_bulk_parse_declines_near_canonical(text, error):
         parse(text)
     assert (e.value.line, e.value.column) == (line, column)
     assert str(e.value) == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("text,error", [
+    (f"signed 2 1\n0 {'7' * 5000} +\n",
+     (2, 3, f"endpoint must be a nonnegative integer, got '{'7' * 20}'...")),
+    (f"signed 2 1\n0 1 +{'x' * 5000}\n", (2, 5, f"sign must be + or -, got '+{'x' * 19}'...")),
+    (f"{'k' * 5000} 2 1\n", (1, 1, f"unknown kind '{'k' * 20}'...")),
+    # a token of 20 characters is quoted whole, one of 21 is cut
+    (f"signed 2 1\n0 1 {'x' * 20}\n", (2, 5, f"sign must be + or -, got '{'x' * 20}'")),
+    (f"signed 2 1\n0 1 {'x' * 21}\n", (2, 5, f"sign must be + or -, got '{'x' * 20}'...")),
+], ids=["5000-digit-endpoint", "5000-character-sign", "5000-character-kind",
+        "20-characters", "21-characters"])
+def test_messages_quote_at_most_20_characters_of_a_token(text, error):
+    # a long token keeps its line and column, and the message stays short
+    line, column, message = error
+    want = f"line {line}, column {column}: {message}"
+    assert _outcome(parse, text) == want
+    assert _outcome(_parse_line_by_line, text) == want
+    assert len(want) < 100
 
 
 def test_line_parser_starts_at_the_declined_document():

@@ -2,6 +2,8 @@
 
     python tools/pair.py --base REV --workload NAME [--seed N] [--pairs K]
                          [--seconds S] [--label L] [--out-dir DIR]
+    python tools/pair.py --base REV --pytest NODEID [--pairs K]
+                         [--label L] [--out-dir DIR]
 
 ``REV`` is extracted with ``git archive REV | tar -x`` into a temporary
 directory, so it needs only the local object store.  Each pair runs
@@ -18,7 +20,13 @@ number of pairs the change won, judged by the metric's ``better`` direction
 in ``BENCHMARK.json``.  A row for another workload or seed already in the
 file is kept, so one file can gather several rows against one base.
 
-After the file, one line per end-to-end metric goes to stdout:
+With ``--pytest NODEID`` each run is instead
+``python -m pytest -q -p no:cacheprovider NODEID`` in the tree, with
+``sys.executable`` and ``PYTHONPATH`` set to the tree's ``src``.  Every run
+must pass.  Its wall-clock time is the row's one metric, ``wall_s`` (better
+lower), and the row's ``workload`` is the node id, with no seed.
+
+After the file, one line per end-to-end metric (or ``wall_s``) goes to stdout:
 
     peak_mem_mb: base 26.0772 [26.0771, 26.0772] change 24.0128 [24.0127, 24.0129] \
         delta -7.92 % wins 10/10 claim holds
@@ -33,10 +41,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +83,18 @@ def run_once(command: list[str], tree: Path, args) -> dict:
     return {"output_sha256": digests[0], "failed": result["failed"],
             "attempted": result["attempted"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def run_pytest(command: list[str], tree: Path) -> dict:
+    """One test run in ``tree`` against its own ``src``: its wall time."""
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    wall = time.perf_counter() - start
+    if proc.returncode:
+        raise SystemExit(f"pair: {command[-1]} in {tree} failed ({proc.returncode}):\n"
+                         f"{proc.stdout}{proc.stderr}")
+    return {"summary": proc.stdout.splitlines()[-1], "metrics": {"wall_s": wall}}
 
 
 def summary(values: list[float]) -> dict:
@@ -114,16 +136,24 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True)
-    ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in spec["workloads"]])
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=[w["name"] for w in spec["workloads"]])
+    what.add_argument("--pytest", metavar="NODEID")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--label", default="pair")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
-    command = [sys.executable if c == "python3" else c for c in spec["command"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    if args.pytest:
+        command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", args.pytest]
+        better["wall_s"] = "lower"
+        shown, key, seconds = ["wall_s"], (args.pytest, None), None
+    else:
+        command = [sys.executable if c == "python3" else c for c in spec["command"]]
+        shown = [m["name"] for m in spec["end_to_end"]]
+        key, seconds = (args.workload, args.seed), args.seconds
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
     runs = []
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
@@ -133,11 +163,13 @@ def main(argv=None) -> int:
             sides = [("base", base_tree), ("change", ROOT)]
             pair = {"first": sides[i % 2][0]}
             for side, tree in sides[i % 2:] + sides[:i % 2]:
-                pair[side] = run_once(command, tree, args)
+                pair[side] = (run_pytest(command, tree) if args.pytest
+                              else run_once(command, tree, args))
                 print(f"pair {i + 1}/{args.pairs} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
             runs.append(pair)
-    digests = {r[side]["output_sha256"] for r in runs for side in ("base", "change")}
+    # a test run has no output digest
+    digests = {r[side].get("output_sha256") for r in runs for side in ("base", "change")}
     if len(digests) != 1:
         print(f"pair: output digests differ: {sorted(digests)}; nothing written",
               file=sys.stderr)
@@ -150,18 +182,18 @@ def main(argv=None) -> int:
         print(f"pair: {path} compares against {doc['base']}, not {base_sha}; "
               "nothing written", file=sys.stderr)
         return 1
-    row = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+    row = {"workload": key[0], "seed": key[1], "seconds": seconds,
            "change": change,
            "command": command[1:], "output_sha256": digests.pop(),
            "metrics": compare(runs, better), "runs": runs}
     doc["rows"] = [r for r in doc["rows"]
-                   if (r["workload"], r["seed"]) != (args.workload, args.seed)]
+                   if (r["workload"], r["seed"]) != key]
     doc["rows"].append(row)
     doc["rows"].sort(key=lambda r: (r["workload"], r["seed"]))
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)
-    for m in spec["end_to_end"]:
-        print(claim_line(m["name"], row["metrics"][m["name"]]))
+    for name in shown:
+        print(claim_line(name, row["metrics"][name]))
     return 0
 
 
