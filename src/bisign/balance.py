@@ -189,11 +189,6 @@ def verify_signature(s: SignedGraph, mu: VertexSignature, mode: str) -> bool:
     signs = mu.mu
     if len(signs) != s.graph.vertex_count:
         raise ValueError("signature does not cover the vertex set")
-    flip = mode == "antibalance"
-    for e, (u, v) in enumerate(s.graph.edges):
-        expect = signs[u] * signs[v]
-        if flip:
-            expect = -expect
-        if s.sigma[e] != expect:
-            return False
-    return True
+    factor = PLUS if mode == "balance" else MINUS
+    ends = zip(s.graph.edges, s.sigma)
+    return all((sign is factor) == (signs[u] is signs[v]) for (u, v), sign in ends)

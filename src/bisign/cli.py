@@ -111,6 +111,10 @@ def _shown(tok: str) -> str:
     return repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}..."
 
 
+def _digits(n: int) -> str:
+    return f"{str(n)[:20]}..." if n >= 10**20 else str(n)
+
+
 def _int_token(lineno: int, line: str, tokens: list[str], i: int, what: str) -> int:
     if i >= len(tokens):
         raise _fail(lineno, line, i, f"missing {what}")
@@ -165,12 +169,13 @@ def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> int:
         if n < 1:
             raise _fail(lineno, header, i, "tuple length n must be >= 1")
         if n > MAX_TUPLE_LENGTH:
-            message = f"tuple length {n} exceeds the limit {MAX_TUPLE_LENGTH}"
+            message = f"tuple length {_digits(n)} exceeds the limit {MAX_TUPLE_LENGTH}"
             raise _fail(lineno, header, i, message)
         i += 1
     vcount = _int_token(lineno, header, tokens, i, "vertex count")
     if vcount > MAX_VERTICES:
-        raise _fail(lineno, header, i, f"vertex count {vcount} exceeds the limit {MAX_VERTICES}")
+        message = f"vertex count {_digits(vcount)} exceeds the limit {MAX_VERTICES}"
+        raise _fail(lineno, header, i, message)
     ecount = _int_token(lineno, header, tokens, i + 1, "edge count")
     if len(tokens) > i + 2:
         raise _fail(lineno, header, i + 2, "trailing tokens after header")
@@ -182,9 +187,9 @@ def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> int:
         u = _int_token(lineno, line, tokens, 0, "endpoint")
         v = _int_token(lineno, line, tokens, 1, "endpoint")
         if u >= vcount:
-            raise _fail(lineno, line, 0, f"vertex {u} out of range (< {vcount})")
+            raise _fail(lineno, line, 0, f"vertex {_digits(u)} out of range (< {vcount})")
         if v >= vcount:
-            raise _fail(lineno, line, 1, f"vertex {v} out of range (< {vcount})")
+            raise _fail(lineno, line, 1, f"vertex {_digits(v)} out of range (< {vcount})")
         for i in range(2, end):
             _sign_token(lineno, line, tokens, i)
         if len(tokens) > end:
@@ -460,7 +465,7 @@ def _run_compose(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO)
 def _run_random(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO) -> int:
     # write only what parse takes back
     if ns.vertices > MAX_VERTICES:
-        raise ValueError(f"vertex count {ns.vertices} exceeds the limit {MAX_VERTICES}")
+        raise ValueError(f"vertex count {_digits(ns.vertices)} exceeds the limit {MAX_VERTICES}")
     b = random_bidirected(ns.vertices, ns.edges, ns.loops, ns.parallel, ns.seed)
     out.write(serialize(b))
     return 0

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional
 
-from .core import MINUS, PLUS, BidirectedGraph, EdgeId, VertexId, _setters
+from .core import MINUS, PLUS, BidirectedGraph, EdgeId, Sign, VertexId, _setters
 from .convert import associated_signed
 from .balance import CycleWitness, VertexSignature, is_antibalanced
 
@@ -82,11 +83,10 @@ def vertex_role(b: BidirectedGraph, v: VertexId) -> VertexRole:
 
 
 def is_uniform(b: BidirectedGraph) -> bool:
-    """True when no vertex is mixed (vacuously true on the empty graph)."""
-    return all(
-        vertex_role(b, v) is not VertexRole.MIXED
-        for v in range(b.graph.vertex_count)
-    )
+    """True when every end's sign is the first sign seen at its vertex: no vertex is mixed."""
+    first: dict[VertexId, Sign] = {}
+    ends = zip(chain.from_iterable(b.graph.edges), chain.from_iterable(b.beta))
+    return all(first.setdefault(v, sign) is sign for v, sign in ends)
 
 
 # each end-sign pair's negation, one shared tuple per pair for every graph

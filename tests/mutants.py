@@ -128,6 +128,37 @@ MUTANTS = (
         "from .balance import is_balanced\nfrom .core import (",
         ["tests/test_oracle.py::test_oracle_imports_only_core"],
     ),
+    (
+        "verify_signature checks the balance rule in both modes",
+        "balance.py",
+        'factor = PLUS if mode == "balance" else MINUS',
+        "factor = PLUS",
+        ["tests/test_balance.py::test_verify_signature_modes",
+         "tests/test_balance.py::test_verify_signature_matches_the_formula_exhaustive"],
+    ),
+    (
+        "is_uniform reads only the side-0 ends",
+        "uniform.py",
+        "zip(chain.from_iterable(b.graph.edges), chain.from_iterable(b.beta))",
+        "zip((u for u, _ in b.graph.edges), (a for a, _ in b.beta))",
+        ["tests/test_uniform.py::test_is_uniform_cases",
+         "tests/test_uniform.py::test_vertex_role_matches_end_signs_exhaustive"],
+    ),
+    (
+        "is_balanced reports every loop as a violation",
+        "balance.py",
+        "if (sigma[e] is PLUS) == (mu[u] is mu[v]):",
+        "if u != v and (sigma[e] is PLUS) == (mu[u] is mu[v]):",
+        ["tests/test_balance.py::test_positive_loop_never_violates",
+         "tests/test_balance.py::test_agrees_with_oracle_small_exhaustive"],
+    ),
+    (
+        "reorient flips a repeated id twice",
+        "uniform.py",
+        "for e in frozenset(edges):",
+        "for e in list(edges):",
+        ["tests/test_uniform.py::test_reorient_flips_both_ends"],
+    ),
 )
 
 

@@ -165,6 +165,21 @@ def _exhaustive(max_v, max_e):
             yield SignedGraph(g, sigma)
 
 
+def test_verify_signature_matches_the_formula_exhaustive():
+    # every signature of every signing, both modes: a signature holds exactly
+    # when sigma(uv) = factor * mu(u) * mu(v) on every edge
+    checked = held = 0
+    for s in _exhaustive(3, 3):
+        ends = list(enumerate(s.graph.edges))
+        for mu in itertools.product(SIGNS, repeat=s.graph.vertex_count):
+            for mode, factor in (("balance", PLUS), ("antibalance", MINUS)):
+                want = all(s.sigma[e] is factor * mu[u] * mu[v] for e, (u, v) in ends)
+                assert verify_signature(s, VertexSignature(mu), mode) == want
+                checked += 1
+                held += want
+    assert (checked, held) == (9_670, 1_522)
+
+
 def test_agrees_with_oracle_small_exhaustive():
     for s in _exhaustive(3, 3):
         r = is_balanced(s)

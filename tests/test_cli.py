@@ -211,6 +211,12 @@ def test_parse_is_total(text):
         assert parse(serialize(x)) == x
 
 
+def _digits(n):
+    # a number's decimal text, cut after its first 20 digits
+    text = str(n)
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
 def _parse_one(rows, at):
     """The document headed by ``rows[at]``, and the index of the row after it."""
     if at == len(rows):
@@ -228,12 +234,13 @@ def _parse_one(rows, at):
         if n < 1:
             raise cli._fail(lineno, header, i, "tuple length n must be >= 1")
         if n > MAX_TUPLE_LENGTH:
-            message = f"tuple length {n} exceeds the limit {MAX_TUPLE_LENGTH}"
+            message = f"tuple length {_digits(n)} exceeds the limit {MAX_TUPLE_LENGTH}"
             raise cli._fail(lineno, header, i, message)
         i += 1
     vcount = cli._int_token(lineno, header, tokens, i, "vertex count")
     if vcount > MAX_VERTICES:
-        raise cli._fail(lineno, header, i, f"vertex count {vcount} exceeds the limit {MAX_VERTICES}")
+        message = f"vertex count {_digits(vcount)} exceeds the limit {MAX_VERTICES}"
+        raise cli._fail(lineno, header, i, message)
     ecount = cli._int_token(lineno, header, tokens, i + 1, "edge count")
     if len(tokens) > i + 2:
         raise cli._fail(lineno, header, i + 2, "trailing tokens after header")
@@ -247,9 +254,9 @@ def _parse_one(rows, at):
         u = cli._int_token(lineno, line, tokens, 0, "endpoint")
         v = cli._int_token(lineno, line, tokens, 1, "endpoint")
         if u >= vcount:
-            raise cli._fail(lineno, line, 0, f"vertex {u} out of range (< {vcount})")
+            raise cli._fail(lineno, line, 0, f"vertex {_digits(u)} out of range (< {vcount})")
         if v >= vcount:
-            raise cli._fail(lineno, line, 1, f"vertex {v} out of range (< {vcount})")
+            raise cli._fail(lineno, line, 1, f"vertex {_digits(v)} out of range (< {vcount})")
         signs = tuple(cli._sign_token(lineno, line, tokens, i) for i in range(2, end))
         if len(tokens) > end:
             raise cli._fail(lineno, line, end, "trailing tokens on edge line")
@@ -455,8 +462,15 @@ def test_bulk_parse_declines_near_canonical(text, error):
     # a token of 20 characters is quoted whole, one of 21 is cut
     (f"signed 2 1\n0 1 {'x' * 20}\n", (2, 5, f"sign must be + or -, got '{'x' * 20}'")),
     (f"signed 2 1\n0 1 {'x' * 21}\n", (2, 5, f"sign must be + or -, got '{'x' * 20}'...")),
+    # a value past the range or a limit prints its first 20 digits
+    (f"signed 2 1\n0 {'7' * 4000} +\n", (2, 3, f"vertex {'7' * 20}... out of range (< 2)")),
+    (f"dn {'7' * 4000} 2 0\n",
+     (1, 4, f"tuple length {'7' * 20}... exceeds the limit {MAX_TUPLE_LENGTH}")),
+    (f"signed {'7' * 4000} 0\n",
+     (1, 8, f"vertex count {'7' * 20}... exceeds the limit {MAX_VERTICES}")),
 ], ids=["5000-digit-endpoint", "5000-character-sign", "5000-character-kind",
-        "20-characters", "21-characters"])
+        "20-characters", "21-characters", "4000-digit-endpoint", "4000-digit-tuple-length",
+        "4000-digit-vertex-count"])
 def test_messages_quote_at_most_20_characters_of_a_token(text, error):
     # a long token keeps its line and column, and the message stays short
     line, column, message = error
@@ -783,6 +797,10 @@ def test_random_command_vertex_limit():
     too_many = MAX_VERTICES + 1
     argv = ["random", "--vertices", str(too_many), "--edges", "1", "--seed", "1"]
     limit = f"vertex count {too_many} exceeds the limit {MAX_VERTICES}"
+    assert run_command(argv) == (2, "", f"error: {limit}\n")
+    # a 4,000-digit count prints its first 20 digits
+    argv[2] = "7" * 4000
+    limit = f"vertex count {'7' * 20}... exceeds the limit {MAX_VERTICES}"
     assert run_command(argv) == (2, "", f"error: {limit}\n")
     argv = ["random", "--vertices", str(MAX_VERTICES), "--edges", "3", "--loops", "--seed", "1"]
     code, out, _ = run_command(argv)

@@ -11,7 +11,9 @@ from bisign import (
     MINUS,
     PLUS,
     BidirectedGraph,
+    CycleWitness,
     VertexRole,
+    VertexSignature,
     associated_signed,
     build_graph,
     cycle_sign,
@@ -52,6 +54,7 @@ def test_vertex_role_matches_end_signs_exhaustive():
                 else:
                     want = VertexRole.SINK if PLUS in signs else VertexRole.SOURCE
                 assert vertex_role(b, v) is want
+            assert is_uniform(b) == all(len(signs) < 2 for signs in ends)
             checked += 1
     assert checked == 4_780
 
@@ -231,6 +234,19 @@ def test_uniformize_builds_the_forest_before_the_associated_signs(monkeypatch):
     assert "_forest" not in vars(g)
     uniformize(BidirectedGraph(g, ((MINUS, PLUS),) * 3))
     assert forest_first == [True]
+
+
+def test_checkers_build_nothing_on_the_graph():
+    # the certificate checkers read only the edge list and the signs: they
+    # neither build nor cache the decide path's incidence or forest
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
+    b = BidirectedGraph(g, ((PLUS, PLUS),) * 4)
+    s = associated_signed(b)
+    assert is_uniform(b)
+    assert verify_signature(s, VertexSignature((PLUS,) * 3), "antibalance")
+    assert cycle_sign(s, CycleWitness((0, 1, 2), MINUS)) is MINUS
+    assert "incidence" not in vars(g)
+    assert "_forest" not in vars(g)
 
 
 def test_self_check_runs_under_python_O():
