@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _setters
+from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _Value, _setters
 from .convert import negate_signed
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class VertexSignature:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class VertexSignature(_Value):
     """A total vertex sign labeling mu."""
 
     mu: tuple[Sign, ...]
@@ -50,8 +50,8 @@ class VertexSignature:
 (_vs_mu,) = _setters(VertexSignature)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CycleWitness:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class CycleWitness(_Value):
     """A cycle given as an edge sequence forming a closed walk with no
     repeated edge or vertex, together with its sign product."""
 
@@ -66,8 +66,8 @@ class CycleWitness:
 _cw_edges, _cw_sign = _setters(CycleWitness)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BalanceResult:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class BalanceResult(_Value):
     """Either a certifying signature or a violating cycle, never both."""
 
     signature: Optional[VertexSignature]

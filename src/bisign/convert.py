@@ -18,6 +18,7 @@ from .core import (
     Di2SignedGraph,
     DnSignedGraph,
     SignedGraph,
+    _Value,
 )
 
 __all__ = [
@@ -62,8 +63,8 @@ def induced_signed(d: Di2SignedGraph) -> SignedGraph:
     return negate_signed(associated_signed(di2_to_bidirected(d)))
 
 
-@dataclass(frozen=True, slots=True)
-class DnDecomposition:
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class DnDecomposition(_Value):
     """An n-tuple labeling split into floor(n/2) bidirections over one shared
     graph, plus a center signed graph exactly when n is odd."""
 

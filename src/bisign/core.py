@@ -10,7 +10,7 @@ side 0 to side 1, and all stored label tuples are relative to it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -63,10 +63,44 @@ PLUS = Sign.PLUS
 MINUS = Sign.MINUS
 
 
-# not slotted: the cached ``incidence`` and ``_forest`` live in the
-# instance ``__dict__``
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Repr, ``==``, hash, immutability, copy and pickle over the fields in
+    ``__match_args__``: one copy for all value types, none compiled per class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    __getstate__ = _values
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+
+# not slotted: the cached ``incidence`` and ``_forest`` live in the instance
+# ``__dict__``; frozen: the generated ``__init__`` gets past ``__setattr__``
+@dataclass(frozen=True, repr=False, eq=False)
+class Graph(_Value):
     """A multigraph: loops and parallel edges allowed, vertices 0..n-1.
 
     ``edges[e]`` is the endpoint pair ``(end0, end1)`` of edge ``e``; the pair
@@ -185,12 +219,12 @@ def build_graph(
 def _setters(cls) -> tuple:
     """Each field slot's ``__set__``, in field order, read from the class
     that ``@dataclass(slots=True)`` returned (the decorator rebuilds it)."""
-    # __init__ stores through these: past the frozen __setattr__, no by-name lookup
+    # __init__ stores through these: past _Value.__setattr__, no by-name lookup
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BidirectedGraph:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class BidirectedGraph(_Value):
     """A graph plus a sign on every half-edge (the bidirection).
 
     A ``+`` end is drawn as an arrow pointing into its vertex, a ``-`` end as
@@ -210,8 +244,8 @@ class BidirectedGraph:
 _bg_graph, _bg_beta = _setters(BidirectedGraph)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SignedGraph:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class SignedGraph(_Value):
     """A graph plus a sign on every edge."""
 
     graph: Graph
@@ -227,8 +261,8 @@ class SignedGraph:
 _sg_graph, _sg_sigma = _setters(SignedGraph)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Di2SignedGraph:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class Di2SignedGraph(_Value):
     """A graph whose edges carry an ordered sign pair that reverses with
     the reading direction.  Stored relative to the canonical orientation."""
 
@@ -245,8 +279,8 @@ class Di2SignedGraph:
 _d2_graph, _d2_labels = _setters(Di2SignedGraph)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DnSignedGraph:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class DnSignedGraph(_Value):
     """A graph whose edges carry a length-n sign tuple that reverses (as a
     sequence) with the reading direction."""
 

@@ -21,11 +21,12 @@ from .core import (
     EdgeId,
     Graph,
     SignedGraph,
+    _Value,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class GraphEnumeration:
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class GraphEnumeration(_Value):
     """Bounds for sweeping every labeled multigraph (not isomorphism-reduced)."""
 
     max_vertices: int

@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Optional
 
-from .core import MINUS, PLUS, BidirectedGraph, EdgeId, Sign, VertexId, _setters
+from .core import MINUS, PLUS, BidirectedGraph, EdgeId, Sign, VertexId, _Value, _setters
 from .convert import associated_signed
 from .balance import CycleWitness, VertexSignature, is_antibalanced
 
@@ -36,8 +36,8 @@ class VertexRole(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class UniformizationResult:
+@dataclass(slots=True, init=False, repr=False, eq=False)
+class UniformizationResult(_Value):
     """Either a reorientation certificate (edge set, the resulting uniform
     graph, and the source/sink signature) or a violating cycle of the
     associated signed graph."""

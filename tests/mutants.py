@@ -159,6 +159,13 @@ MUTANTS = (
         "for e in list(edges):",
         ["tests/test_uniform.py::test_reorient_flips_both_ends"],
     ),
+    (
+        "value equality compares every field but the last",
+        "core.py",
+        "return self._values() == other._values()",
+        "return self._values()[:-1] == other._values()[:-1]",
+        ["tests/test_core.py::test_value_type_contract"],
+    ),
 )
 
 

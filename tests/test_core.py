@@ -15,6 +15,7 @@ from bisign import (
     BalanceResult,
     BidirectedGraph,
     CycleWitness,
+    DnDecomposition,
     DnSignedGraph,
     Di2SignedGraph,
     Graph,
@@ -339,6 +340,40 @@ VALUES = {
 }
 
 
+# per value, another value for each field, to replace that field alone;
+# DnSignedGraph's n has none: it fixes every label's length
+_OTHER_GRAPH = build_graph(3, [(0, 1), (1, 1)])
+_MP_MP = ((MINUS, PLUS), (MINUS, PLUS))
+_NEITHER = {"signature": VertexSignature((MINUS,)), "witness": CycleWitness((0,), PLUS)}
+OTHER_FIELDS = {
+    "Graph": {"vertex_count": 3, "edges": ((0, 1), (0, 0))},
+    "BidirectedGraph": {"graph": _OTHER_GRAPH, "beta": _MP_MP},
+    "SignedGraph": {"graph": _OTHER_GRAPH, "sigma": (PLUS, PLUS)},
+    "Di2SignedGraph": {"graph": _OTHER_GRAPH, "labels": _MP_MP},
+    "DnSignedGraph": {
+        "graph": _OTHER_GRAPH,
+        "labels": ((PLUS, PLUS, MINUS), (MINUS, MINUS, MINUS)),
+    },
+    "DnDecomposition": {"bidirections": (), "center": None},
+    "VertexSignature": {"mu": (MINUS, MINUS)},
+    "CycleWitness": {"edges": (0,), "sign": PLUS},
+    "BalanceResult-holds": _NEITHER,
+    "BalanceResult-fails": _NEITHER,
+    "UniformizationResult-holds": {
+        "reorient_set": frozenset(),
+        "uniform": None,
+        "signature": None,
+        **_NEITHER,
+    },
+    "UniformizationResult-fails": {
+        "reorient_set": frozenset({1}),
+        "uniform": BidirectedGraph(_LOOP, _MP_MP),
+        **_NEITHER,
+    },
+    "GraphEnumeration": {"max_vertices": 3, "max_edges": 4},
+}
+
+
 @pytest.mark.parametrize("name", VALUES)
 def test_value_type_contract(name):
     build, want_repr = VALUES[name]
@@ -353,9 +388,34 @@ def test_value_type_contract(name):
     assert dataclasses.replace(x) == x
     first = dataclasses.fields(x)[0].name
     assert dataclasses.replace(x, **{first: getattr(y, first)}) == x
-    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+    names = [f.name for f in dataclasses.fields(x)]
+    assert hash(x) == hash(tuple([getattr(x, f) for f in names]))
+    # a value differing from x in any one field is not equal to it
+    others = OTHER_FIELDS[name]
+    assert others.keys() == set(names) - {"n"}
+    for f, other in others.items():
+        z = dataclasses.replace(x, **{f: other})
+        assert z != x and x != z and getattr(z, f) == other
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickles = [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)), *pickles):
         assert twin == x and hash(twin) == hash(x) and repr(twin) == want_repr
     assert x == y  # no check above changed either value
+
+
+def test_value_types_compile_no_value_methods():
+    # repr, ==, hash and immutability come from one shared base: a value type
+    # whose @dataclass compiles its own (eq=True, frozen=True) slows the import
+    types = {type(build()) for build, _ in VALUES.values()}
+    assert len(types) == 11 and all(map(dataclasses.is_dataclass, types))
+    for cls in types:
+        assert not {"__repr__", "__eq__", "__hash__"} & cls.__dict__.keys(), cls
+    # Graph, DnDecomposition and GraphEnumeration keep the generated __init__,
+    # which needs frozen=True to store its fields
+    records = types - {Graph, DnDecomposition, GraphEnumeration}
+    assert len(records) == 8
+    for cls in records:
+        assert not {"__setattr__", "__delattr__"} & cls.__dict__.keys(), cls
 
 
 def test_overlays_of_one_pair_labeling_differ_by_type():
