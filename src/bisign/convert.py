@@ -19,6 +19,7 @@ from .core import (
     DnSignedGraph,
     SignedGraph,
     _Value,
+    _setters,
 )
 
 __all__ = [
@@ -63,7 +64,7 @@ def induced_signed(d: Di2SignedGraph) -> SignedGraph:
     return negate_signed(associated_signed(di2_to_bidirected(d)))
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class DnDecomposition(_Value):
     """An n-tuple labeling split into floor(n/2) bidirections over one shared
     graph, plus a center signed graph exactly when n is odd."""
@@ -71,9 +72,16 @@ class DnDecomposition(_Value):
     bidirections: tuple[BidirectedGraph, ...]
     center: Optional[SignedGraph]
 
+    def __init__(self, bidirections: tuple[BidirectedGraph, ...], center: Optional[SignedGraph]):
+        _dd_bidirections(self, bidirections)
+        _dd_center(self, center)
+
     @property
     def n(self) -> int:
         return 2 * len(self.bidirections) + (1 if self.center is not None else 0)
+
+
+_dd_bidirections, _dd_center = _setters(DnDecomposition)
 
 
 def decompose_dn(d: DnSignedGraph) -> DnDecomposition:

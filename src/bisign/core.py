@@ -14,6 +14,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Union
 
 __all__ = [
@@ -64,13 +65,16 @@ MINUS = Sign.MINUS
 
 
 class _Value:
-    """Repr, ``==``, hash, immutability, copy and pickle over the fields in
-    ``__match_args__``: one copy for all value types, none compiled per class."""
+    """Repr, ``==``, hash, immutability, copy and pickle over a field getter
+    set per class, also on the class ``@dataclass(slots=True)`` rebuilds.  Each
+    type stores its fields in its own ``__init__``; copy and pickle call it."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__annotations__)
+        # a getter of one name returns the bare value: wrap it in a 1-tuple
+        cls._values = staticmethod(get if len(cls.__annotations__) > 1 else lambda x: (get(x),))
 
     def __repr__(self) -> str:
         args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
@@ -79,10 +83,10 @@ class _Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -90,16 +94,15 @@ class _Value:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    __getstate__ = _values
+    def __getstate__(self) -> tuple:
+        return self._values(self)
 
     def __setstate__(self, state) -> None:
-        for name, value in zip(self.__match_args__, state):
-            object.__setattr__(self, name, value)
+        self.__init__(*state)
 
 
-# not slotted: the cached ``incidence`` and ``_forest`` live in the instance
-# ``__dict__``; frozen: the generated ``__init__`` gets past ``__setattr__``
-@dataclass(frozen=True, repr=False, eq=False)
+# not slotted: the fields and the cached ``incidence`` / ``_forest`` live in ``__dict__``
+@dataclass(init=False, repr=False, eq=False)
 class Graph(_Value):
     """A multigraph: loops and parallel edges allowed, vertices 0..n-1.
 
@@ -109,6 +112,11 @@ class Graph(_Value):
 
     vertex_count: int
     edges: tuple[tuple[VertexId, VertexId], ...]
+
+    def __init__(self, vertex_count: int, edges: tuple[tuple[VertexId, VertexId], ...]):
+        d = self.__dict__
+        d["vertex_count"] = vertex_count
+        d["edges"] = edges
 
     @property
     def edge_count(self) -> int:

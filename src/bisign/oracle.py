@@ -22,15 +22,23 @@ from .core import (
     Graph,
     SignedGraph,
     _Value,
+    _setters,
 )
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class GraphEnumeration(_Value):
     """Bounds for sweeping every labeled multigraph (not isomorphism-reduced)."""
 
     max_vertices: int
     max_edges: int
+
+    def __init__(self, max_vertices: int, max_edges: int):
+        _ge_max_vertices(self, max_vertices)
+        _ge_max_edges(self, max_edges)
+
+
+_ge_max_vertices, _ge_max_edges = _setters(GraphEnumeration)
 
 
 def enumerate_multigraphs(spec: GraphEnumeration) -> Iterator[Graph]:

@@ -404,18 +404,54 @@ def test_value_type_contract(name):
 
 
 def test_value_types_compile_no_value_methods():
-    # repr, ==, hash and immutability come from one shared base: a value type
-    # whose @dataclass compiles its own (eq=True, frozen=True) slows the import
+    # repr, ==, hash and immutability come from one shared base, and each type
+    # stores its fields in its own __init__: a value type whose @dataclass
+    # compiles a method (eq=True, frozen=True, init=True) slows the import
     types = {type(build()) for build, _ in VALUES.values()}
     assert len(types) == 11 and all(map(dataclasses.is_dataclass, types))
+    shared = {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
+    # dataclass(frozen=True, slots=True) also adds its own state methods
+    shared |= {"__getstate__", "__setstate__"}
     for cls in types:
-        assert not {"__repr__", "__eq__", "__hash__"} & cls.__dict__.keys(), cls
-    # Graph, DnDecomposition and GraphEnumeration keep the generated __init__,
-    # which needs frozen=True to store its fields
-    records = types - {Graph, DnDecomposition, GraphEnumeration}
-    assert len(records) == 8
-    for cls in records:
-        assert not {"__setattr__", "__delattr__"} & cls.__dict__.keys(), cls
+        assert not shared & cls.__dict__.keys(), cls
+        assert "__init__" in cls.__dict__ and not cls.__dataclass_params__.frozen, cls
+
+
+def _forged(cls, state):
+    """An object that copy and pickle rebuild as a ``cls`` from ``state``:
+    a bare instance, then ``__setstate__``, as for a value type."""
+
+    class Forged:
+        def __reduce__(self):
+            return object.__new__, (cls,), state
+
+    return Forged()
+
+
+_TRIANGLE = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "cls, state, message",
+    [
+        (BidirectedGraph, (_TRIANGLE, ((PLUS, MINUS),)), "beta must cover every edge"),
+        (SignedGraph, (_TRIANGLE, ()), "sigma must cover every edge"),
+        (Di2SignedGraph, (_TRIANGLE, ((PLUS, PLUS),) * 4), "labels must cover every edge"),
+        (DnSignedGraph, (0, _TRIANGLE, ((),) * 3), "n must be positive"),
+        (DnSignedGraph, (2, _TRIANGLE, ((PLUS, MINUS), (PLUS,), (MINUS, MINUS))),
+         "edge 1: tuple length 1 != n=2"),
+    ],
+)
+def test_rebuilding_checks_the_state_like_the_constructor(cls, state, message):
+    # copy and pickle store no field that the constructor would refuse
+    pickles = [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for rebuild in (lambda s: cls(*s), cls.__new__(cls).__setstate__):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rebuild(state)
+    for rebuild in (copy.copy, copy.deepcopy, *pickles):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rebuild(_forged(cls, state))
 
 
 def test_overlays_of_one_pair_labeling_differ_by_type():

@@ -17,8 +17,11 @@ exit code is 1.  The result goes to ``DIR/BENCH_L.json`` (default: this
 checkout's root).  That file holds one row per workload and seed: each
 run's metrics, and per metric the two sides' medians and quartiles and the
 number of pairs the change won, judged by the metric's ``better`` direction
-in ``BENCHMARK.json``.  A row for another workload or seed already in the
-file is kept, so one file can gather several rows against one base.
+in ``BENCHMARK.json``.  The row's ``change`` record names the checkout's
+commit, whether its tracked files differ from it, and what measured it:
+``sys.version``, ``platform.machine()`` and ``os.cpu_count()``.  A row for
+another workload or seed already in the file is kept, so one file can
+gather several rows against one base.
 
 With ``--pytest NODEID`` each run is instead
 ``python -m pytest -q -p no:cacheprovider NODEID`` in the tree, with
@@ -42,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -176,7 +180,9 @@ def main(argv=None) -> int:
         return 1
     path = args.out_dir / f"BENCH_{args.label}.json"
     change = {"head": git("rev-parse", "HEAD"),
-              "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+              "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+              "python": sys.version, "machine": platform.machine(),
+              "cpus": os.cpu_count()}
     doc = json.loads(path.read_text()) if path.exists() else {"base": base_sha, "rows": []}
     if doc["base"] != base_sha:
         print(f"pair: {path} compares against {doc['base']}, not {base_sha}; "
