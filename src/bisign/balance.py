@@ -20,7 +20,6 @@ of length 1 and 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _Value, _setters
@@ -37,10 +36,10 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class VertexSignature(_Value):
     """A total vertex sign labeling mu."""
 
+    __slots__ = __match_args__ = ("mu",)
     mu: tuple[Sign, ...]
 
     def __init__(self, mu: tuple[Sign, ...]):
@@ -50,11 +49,11 @@ class VertexSignature(_Value):
 (_vs_mu,) = _setters(VertexSignature)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class CycleWitness(_Value):
     """A cycle given as an edge sequence forming a closed walk with no
     repeated edge or vertex, together with its sign product."""
 
+    __slots__ = __match_args__ = ("edges", "sign")
     edges: tuple[EdgeId, ...]
     sign: Sign
 
@@ -66,10 +65,10 @@ class CycleWitness(_Value):
 _cw_edges, _cw_sign = _setters(CycleWitness)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class BalanceResult(_Value):
     """Either a certifying signature or a violating cycle, never both."""
 
+    __slots__ = __match_args__ = ("signature", "witness")
     signature: Optional[VertexSignature]
     witness: Optional[CycleWitness]
 

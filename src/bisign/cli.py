@@ -458,7 +458,10 @@ def _run_compose(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO)
         raise ValueError(
             "compose expects bidirected documents followed by at most one signed center"
         )
-    out.write(serialize(compose_dn(DnDecomposition(tuple(docs), center))))
+    dec = DnDecomposition(tuple(docs), center)
+    if dec.n > MAX_TUPLE_LENGTH:  # write only what parse takes back
+        raise ValueError(f"tuple length {dec.n} exceeds the limit {MAX_TUPLE_LENGTH}")
+    out.write(serialize(compose_dn(dec)))
     return 0
 
 
@@ -553,3 +556,7 @@ def main(argv: Optional[list[str]] = None) -> None:
     sys.stdout.write(out)
     sys.stderr.write(err)
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

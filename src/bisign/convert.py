@@ -8,7 +8,6 @@ bidirections plus an optional center sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -64,11 +63,11 @@ def induced_signed(d: Di2SignedGraph) -> SignedGraph:
     return negate_signed(associated_signed(di2_to_bidirected(d)))
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class DnDecomposition(_Value):
     """An n-tuple labeling split into floor(n/2) bidirections over one shared
     graph, plus a center signed graph exactly when n is odd."""
 
+    __slots__ = __match_args__ = ("bidirections", "center")
     bidirections: tuple[BidirectedGraph, ...]
     center: Optional[SignedGraph]
 

@@ -10,7 +10,6 @@ side 0 to side 1, and all stored label tuples are relative to it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -66,15 +65,15 @@ MINUS = Sign.MINUS
 
 class _Value:
     """Repr, ``==``, hash, immutability, copy and pickle over a field getter
-    set per class, also on the class ``@dataclass(slots=True)`` rebuilds.  Each
-    type stores its fields in its own ``__init__``; copy and pickle call it."""
+    set per class from the field names in its ``__match_args__``.  Each type
+    stores its fields in its own ``__init__``; copy and pickle call it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        get = attrgetter(*cls.__annotations__)
+        get = attrgetter(*cls.__match_args__)
         # a getter of one name returns the bare value: wrap it in a 1-tuple
-        cls._values = staticmethod(get if len(cls.__annotations__) > 1 else lambda x: (get(x),))
+        cls._values = staticmethod(get if len(cls.__match_args__) > 1 else lambda x: (get(x),))
 
     def __repr__(self) -> str:
         args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
@@ -89,10 +88,10 @@ class _Value:
         return hash(self._values(self))
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> tuple:
         return self._values(self)
@@ -102,7 +101,6 @@ class _Value:
 
 
 # not slotted: the fields and the cached ``incidence`` / ``_forest`` live in ``__dict__``
-@dataclass(init=False, repr=False, eq=False)
 class Graph(_Value):
     """A multigraph: loops and parallel edges allowed, vertices 0..n-1.
 
@@ -110,6 +108,7 @@ class Graph(_Value):
     order fixes the half-edge sides.
     """
 
+    __match_args__ = ("vertex_count", "edges")
     vertex_count: int
     edges: tuple[tuple[VertexId, VertexId], ...]
 
@@ -225,13 +224,11 @@ def build_graph(
 
 
 def _setters(cls) -> tuple:
-    """Each field slot's ``__set__``, in field order, read from the class
-    that ``@dataclass(slots=True)`` returned (the decorator rebuilds it)."""
+    """Each field slot's ``__set__``, in field order."""
     # __init__ stores through these: past _Value.__setattr__, no by-name lookup
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class BidirectedGraph(_Value):
     """A graph plus a sign on every half-edge (the bidirection).
 
@@ -239,6 +236,7 @@ class BidirectedGraph(_Value):
     an arrow pointing out.
     """
 
+    __slots__ = __match_args__ = ("graph", "beta")
     graph: Graph
     beta: tuple[tuple[Sign, Sign], ...]
 
@@ -252,10 +250,10 @@ class BidirectedGraph(_Value):
 _bg_graph, _bg_beta = _setters(BidirectedGraph)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class SignedGraph(_Value):
     """A graph plus a sign on every edge."""
 
+    __slots__ = __match_args__ = ("graph", "sigma")
     graph: Graph
     sigma: tuple[Sign, ...]
 
@@ -269,11 +267,11 @@ class SignedGraph(_Value):
 _sg_graph, _sg_sigma = _setters(SignedGraph)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class Di2SignedGraph(_Value):
     """A graph whose edges carry an ordered sign pair that reverses with
     the reading direction.  Stored relative to the canonical orientation."""
 
+    __slots__ = __match_args__ = ("graph", "labels")
     graph: Graph
     labels: tuple[tuple[Sign, Sign], ...]
 
@@ -287,11 +285,11 @@ class Di2SignedGraph(_Value):
 _d2_graph, _d2_labels = _setters(Di2SignedGraph)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class DnSignedGraph(_Value):
     """A graph whose edges carry a length-n sign tuple that reverses (as a
     sequence) with the reading direction."""
 
+    __slots__ = __match_args__ = ("n", "graph", "labels")
     n: int
     graph: Graph
     labels: tuple[tuple[Sign, ...], ...]

@@ -10,7 +10,6 @@ subset that works.  Only the plain data types from ``core`` are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Optional
@@ -26,10 +25,10 @@ from .core import (
 )
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class GraphEnumeration(_Value):
     """Bounds for sweeping every labeled multigraph (not isomorphism-reduced)."""
 
+    __slots__ = __match_args__ = ("max_vertices", "max_edges")
     max_vertices: int
     max_edges: int
 

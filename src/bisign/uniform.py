@@ -10,7 +10,6 @@ antibalance signature directly builds the uniform graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Optional
@@ -36,12 +35,12 @@ class VertexRole(Enum):
     MIXED = "mixed"
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class UniformizationResult(_Value):
     """Either a reorientation certificate (edge set, the resulting uniform
     graph, and the source/sink signature) or a violating cycle of the
     associated signed graph."""
 
+    __slots__ = __match_args__ = ("reorient_set", "uniform", "signature", "witness")
     reorient_set: Optional[frozenset[EdgeId]]
     uniform: Optional[BidirectedGraph]
     signature: Optional[VertexSignature]

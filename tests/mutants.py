@@ -167,6 +167,13 @@ MUTANTS = (
         ["tests/test_core.py::test_value_type_contract"],
     ),
     (
+        "assigning a field stores the value",
+        "core.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ["tests/test_core.py::test_value_type_contract"],
+    ),
+    (
         "copy and pickle store the state past the constructor",
         "core.py",
         "self.__init__(*state)",

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import os
 import pathlib
 import random
 import re
@@ -758,6 +759,19 @@ def test_compose_rejects(text, message):
     assert run_command(["compose"], text) == (2, "", f"error: {message}\n")
 
 
+def test_compose_tuple_length_limit():
+    # compose writes only documents that parse takes back
+    half, loop = MAX_TUPLE_LENGTH // 2, "bidirected 1 1\n0 0 + -\n"
+    code, out, err = run_command(["compose"], loop * half)
+    assert (code, err) == (0, "")
+    doc = parse(out)
+    assert doc.n == MAX_TUPLE_LENGTH and doc.labels == ((PLUS,) * half + (MINUS,) * half,)
+    for text, n in ((loop * (half + 1), MAX_TUPLE_LENGTH + 2),
+                    (loop * half + "signed 1 1\n0 0 +\n", MAX_TUPLE_LENGTH + 1)):
+        limit = f"tuple length {n} exceeds the limit {MAX_TUPLE_LENGTH}"
+        assert run_command(["compose"], text) == (2, "", f"error: {limit}\n")
+
+
 def test_compose_reads_large_decompose_output_in_bulk():
     # each of the three documents spans chunks
     g = random_bidirected(5000, 10000, True, True, 11).graph
@@ -965,6 +979,34 @@ def test_cli_does_not_load_the_oracle():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the value types are plain slotted classes: importing the library and
+    # its CLI in a fresh interpreter loads neither module
+    src = pathlib.Path(sys.modules["bisign.cli"].__file__).parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import bisign, bisign.cli; "
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False False\n"
+
+
+def test_module_run_is_the_command(tmp_path):
+    # python -m bisign.cli runs the command on the README example
+    src = pathlib.Path(sys.modules["bisign.cli"].__file__).parents[1]
+    path = tmp_path / "cycle.bidirected"
+    path.write_text("bidirected 3 3\n0 1 - +\n1 2 - +\n2 0 - +\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "bisign.cli", "uniformize", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    code, out, err = run_command(["uniformize", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == 1 and out
 
 
 def test_main_reads_the_process_stdin():

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import tracemalloc
 from array import array
@@ -374,27 +373,38 @@ OTHER_FIELDS = {
 }
 
 
+def _rebuilt(x, **changes):
+    """A constructor call with x's fields, changing the named ones."""
+    names = type(x).__match_args__
+    return type(x)(**{f: changes.get(f, getattr(x, f)) for f in names})
+
+
 @pytest.mark.parametrize("name", VALUES)
 def test_value_type_contract(name):
     build, want_repr = VALUES[name]
     x, y = build(), build()
     assert x is not y and x == y and hash(x) == hash(y)
     assert repr(x) == want_repr
-    for f in dataclasses.fields(x):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(x, f.name, getattr(y, f.name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(x, f.name)
-    assert dataclasses.replace(x) == x
-    first = dataclasses.fields(x)[0].name
-    assert dataclasses.replace(x, **{first: getattr(y, first)}) == x
-    names = [f.name for f in dataclasses.fields(x)]
+    names = type(x).__match_args__
+    for f in names:
+        # a plain AttributeError, with the field named
+        with pytest.raises(AttributeError) as e:
+            setattr(x, f, getattr(y, f))
+        assert type(e.value) is AttributeError
+        assert e.value.args == (f"cannot assign to field {f!r}",)
+        with pytest.raises(AttributeError) as e:
+            delattr(x, f)
+        assert type(e.value) is AttributeError
+        assert e.value.args == (f"cannot delete field {f!r}",)
+    assert _rebuilt(x) == x
+    first = names[0]
+    assert _rebuilt(x, **{first: getattr(y, first)}) == x
     assert hash(x) == hash(tuple([getattr(x, f) for f in names]))
     # a value differing from x in any one field is not equal to it
     others = OTHER_FIELDS[name]
     assert others.keys() == set(names) - {"n"}
     for f, other in others.items():
-        z = dataclasses.replace(x, **{f: other})
+        z = _rebuilt(x, **{f: other})
         assert z != x and x != z and getattr(z, f) == other
     protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     pickles = [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
@@ -404,17 +414,24 @@ def test_value_type_contract(name):
 
 
 def test_value_types_compile_no_value_methods():
-    # repr, ==, hash and immutability come from one shared base, and each type
-    # stores its fields in its own __init__: a value type whose @dataclass
-    # compiles a method (eq=True, frozen=True, init=True) slows the import
-    types = {type(build()) for build, _ in VALUES.values()}
-    assert len(types) == 11 and all(map(dataclasses.is_dataclass, types))
-    shared = {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
-    # dataclass(frozen=True, slots=True) also adds its own state methods
-    shared |= {"__getstate__", "__setstate__"}
-    for cls in types:
+    # repr, ==, hash, immutability, copy and pickle come from one shared base,
+    # and each type stores its fields in its own __init__
+    values = {type(x): x for x in (build() for build, _ in VALUES.values())}
+    assert len(values) == 11
+    shared = {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
+              "__getstate__", "__setstate__"}
+    for cls, x in values.items():
         assert not shared & cls.__dict__.keys(), cls
-        assert "__init__" in cls.__dict__ and not cls.__dataclass_params__.frozen, cls
+        assert "__init__" in cls.__dict__, cls
+        # the annotations give the fields' types, for the same names in order
+        assert tuple(cls.__annotations__) == cls.__match_args__, cls
+        if cls is Graph:
+            # the fields and the cached incidence / _forest live in __dict__
+            assert "__slots__" not in cls.__dict__ and hasattr(x, "__dict__")
+            continue
+        # one field list: the slots are the fields, in __match_args__ order
+        assert cls.__slots__ == cls.__match_args__, cls
+        assert not hasattr(x, "__dict__"), cls
 
 
 def _forged(cls, state):
