@@ -30,6 +30,7 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import re
 import sys
@@ -527,28 +528,41 @@ def run_command(
     """
     out = io.StringIO()
     err = io.StringIO()
+    # a run builds only acyclic data (the tests check that a warm call leaves
+    # no cycles), so the collector's passes over its many containers would
+    # free nothing: pause it, and put it back the way it was found
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _dispatch(argv, stdin_text, out, err), out.getvalue(), err.getvalue()
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _dispatch(argv: list[str], stdin_text: Optional[str], out: io.StringIO,
+              err: io.StringIO) -> int:
+    """``run_command``'s exit code, with the command's output written."""
     ap = _build_argparser()
     try:
         # argparse prints its usage errors and --help text, then exits
         with redirect_stdout(out), redirect_stderr(err):
             ns = ap.parse_args(argv)
     except SystemExit as e:
-        return (0 if e.code == 0 else 2, out.getvalue(), err.getvalue())
+        return 0 if e.code == 0 else 2
 
     _, kinds, handler = COMMANDS[ns.command]
     try:
         if kinds is None:
-            code = handler(ns, stdin_text, out)
-        else:
-            x = parse(_read_input(ns.file, stdin_text))
-            kind = _KIND[type(x)]
-            if kind not in kinds:
-                raise ValueError(f"{ns.command} needs a {' or '.join(kinds)} document, got {kind}")
-            code = handler(x, ns, out)
+            return handler(ns, stdin_text, out)
+        x = parse(_read_input(ns.file, stdin_text))
+        kind = _KIND[type(x)]
+        if kind not in kinds:
+            raise ValueError(f"{ns.command} needs a {' or '.join(kinds)} document, got {kind}")
+        return handler(x, ns, out)
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
-        return 2, out.getvalue(), err.getvalue()
-    return code, out.getvalue(), err.getvalue()
+        return 2
 
 
 def main(argv: Optional[list[str]] = None) -> None:

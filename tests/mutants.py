@@ -122,6 +122,13 @@ MUTANTS = (
         ["tests/test_cli.py::test_warm_calls_leave_no_cyclic_garbage"],
     ),
     (
+        "run_command leaves the collector paused",
+        "cli.py",
+        "if collecting:\n            gc.enable()",
+        "if collecting:\n            pass",
+        ["tests/test_cli.py::test_run_command_restores_the_collector_state"],
+    ),
+    (
         "the oracle imports bisign.balance",
         "oracle.py",
         "from .core import (",

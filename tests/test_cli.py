@@ -647,13 +647,26 @@ def test_usage_error_message_is_returned():
     )
 
 
+# _BIG with every third edge "- -" and the rest "+ +": uniformizable by
+# reorienting exactly the "- -" edges
+_PLANTED = "".join(
+    line if i == 0 else line.rsplit(" ", 2)[0] + (" - -\n" if i % 3 == 1 else " + +\n")
+    for i, line in enumerate(_BIG.splitlines(keepends=True))
+)
+
+
 def test_warm_calls_leave_no_cyclic_garbage():
     # the parser is built once per process: each build leaves its own
-    # reference cycles, and a warm successful call then leaves none
+    # reference cycles, and a warm call then leaves none, so pausing the
+    # collector during a run frees nothing later than it would have
     help_text = run_command(["--help"])
-    for argv, text in (
-        (["uniformize"], "bidirected 2 1\n0 1 + +\n"),
-        (["check-balance"], "signed 2 1\n0 1 +\n"),
+    for argv, text, want in (
+        (["uniformize"], "bidirected 2 1\n0 1 + +\n", 0),
+        (["check-balance"], "signed 2 1\n0 1 +\n", 0),
+        (["uniformize"], _PLANTED, 0),
+        (["uniformize"], _BIG, 1),
+        (["check-balance"], "signed 100000 0\n", 0),
+        (["uniformize"], _BIG[:-2] + "x\n", 2),
     ):
         gc.collect()
         gc.disable()
@@ -662,9 +675,52 @@ def test_warm_calls_leave_no_cyclic_garbage():
             garbage = gc.collect()
         finally:
             gc.enable()
-        assert (code, garbage) == (0, 0)
+        assert (code, garbage) == (want, 0)
     # the shared parser prints the same help text on every call
     assert run_command(["--help"]) == help_text
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_command_restores_the_collector_state(collecting):
+    was = gc.isenabled()
+    try:
+        for argv, text, want in (
+            (["uniformize"], "bidirected 2 1\n0 1 + +\n", 0),
+            (["check-balance"], "signed 3 3\n0 1 -\n1 2 +\n2 0 +\n", 1),
+            (["check-balance"], "signed 2 1\n0 9 +\n", 2),
+            (["convert"], "signed 0 0\n", 2),
+            (["--help"], None, 0),
+        ):
+            (gc.enable if collecting else gc.disable)()
+            code, _, err = run_command(argv, text)
+            assert (code, gc.isenabled()) == (want, collecting), err
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_warm_uniformize_runs_no_collection():
+    # a run pauses the collector, whose passes over the run's containers
+    # (edge tuples, incidence lists) would free nothing; the first allocation
+    # after the run may start a pass, but no pass starts inside it
+    run_command(["uniformize"], _PLANTED)
+    passes = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not run_command.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code, _, _ = run_command(["uniformize"], _PLANTED)
+        during = len(passes)
+    finally:
+        gc.callbacks.remove(count)
+    assert gc.isenabled()
+    assert (code, during) == (0, 0)
 
 
 def test_unknown_flag_message_is_returned():

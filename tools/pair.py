@@ -35,9 +35,13 @@ After the file, one line per end-to-end metric (or ``wall_s``) goes to stdout:
         delta -7.92 % wins 10/10 claim holds
 
 that is, each side's median [q1, q3], the change in the median, and the
-pairs the change won.  The claim holds when the change won at least nine
-pairs in ten, and its median is better than the base's by more than the
-base's q3 - q1.
+pairs the change won.  The claim holds when there are at least ten pairs,
+the change won at least nine pairs in ten, and its median is better than
+the base's by more than the base's q3 - q1; with fewer pairs it fails.
+
+SIGTERM stops the runner like an exception: the running benchmark is
+killed, the base tree's temporary directory is removed, and nothing is
+written.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -128,7 +133,8 @@ def claim_line(name: str, m: dict) -> str:
     """The summary line of one metric's comparison (see the module doc)."""
     base, change = m["base"], m["change"]
     gain = (change["median"] - base["median"]) * (-1 if m["better"] == "lower" else 1)
-    holds = 10 * m["change_wins"] >= 9 * m["pairs"] and gain > base["q3"] - base["q1"]
+    holds = (m["pairs"] >= 10 and 10 * m["change_wins"] >= 9 * m["pairs"]
+             and gain > base["q3"] - base["q1"])
     return (f"{name}: base {base['median']:.6g} [{base['q1']:.6g}, {base['q3']:.6g}]"
             f" change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]"
             f" delta {100 * (change['median'] / base['median'] - 1):+.2f} %"
@@ -136,7 +142,14 @@ def claim_line(name: str, m: dict) -> str:
             f" claim {'holds' if holds else 'fails'}")
 
 
+def terminate(signum, frame):
+    # SystemExit unwinds through the TemporaryDirectory cleanup, which a
+    # plain SIGTERM would skip
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, terminate)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True)
@@ -144,7 +157,7 @@ def main(argv=None) -> int:
     what.add_argument("--workload", choices=[w["name"] for w in spec["workloads"]])
     what.add_argument("--pytest", metavar="NODEID")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--label", default="pair")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
