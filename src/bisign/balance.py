@@ -40,7 +40,6 @@ class VertexSignature(_Value):
     """A total vertex sign labeling mu."""
 
     __slots__ = __match_args__ = ("mu",)
-    mu: tuple[Sign, ...]
 
     def __init__(self, mu: tuple[Sign, ...]):
         _vs_mu(self, mu)
@@ -54,8 +53,6 @@ class CycleWitness(_Value):
     repeated edge or vertex, together with its sign product."""
 
     __slots__ = __match_args__ = ("edges", "sign")
-    edges: tuple[EdgeId, ...]
-    sign: Sign
 
     def __init__(self, edges: tuple[EdgeId, ...], sign: Sign):
         _cw_edges(self, edges)
@@ -69,8 +66,6 @@ class BalanceResult(_Value):
     """Either a certifying signature or a violating cycle, never both."""
 
     __slots__ = __match_args__ = ("signature", "witness")
-    signature: Optional[VertexSignature]
-    witness: Optional[CycleWitness]
 
     def __init__(
         self,

@@ -513,6 +513,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     rnd.add_argument("--loops", action="store_true")
     rnd.add_argument("--parallel", action="store_true")
     rnd.add_argument("--seed", type=int, required=True)
+    # run_command pauses the collector before the first build: free its cycles here
+    gc.collect(0)
     return ap
 
 

@@ -68,8 +68,6 @@ class DnDecomposition(_Value):
     graph, plus a center signed graph exactly when n is odd."""
 
     __slots__ = __match_args__ = ("bidirections", "center")
-    bidirections: tuple[BidirectedGraph, ...]
-    center: Optional[SignedGraph]
 
     def __init__(self, bidirections: tuple[BidirectedGraph, ...], center: Optional[SignedGraph]):
         _dd_bidirections(self, bidirections)

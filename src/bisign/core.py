@@ -100,7 +100,12 @@ class _Value:
         self.__init__(*state)
 
 
-# not slotted: the fields and the cached ``incidence`` / ``_forest`` live in ``__dict__``
+def _setters(cls) -> tuple:
+    """Each field slot's ``__set__``, in field order."""
+    # __init__ stores through these: past _Value.__setattr__, no by-name lookup
+    return tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
+
+
 class Graph(_Value):
     """A multigraph: loops and parallel edges allowed, vertices 0..n-1.
 
@@ -109,13 +114,12 @@ class Graph(_Value):
     """
 
     __match_args__ = ("vertex_count", "edges")
-    vertex_count: int
-    edges: tuple[tuple[VertexId, VertexId], ...]
+    # ``__dict__`` holds only the cached ``incidence`` / ``_forest``
+    __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, vertex_count: int, edges: tuple[tuple[VertexId, VertexId], ...]):
-        d = self.__dict__
-        d["vertex_count"] = vertex_count
-        d["edges"] = edges
+        _g_vertex_count(self, vertex_count)
+        _g_edges(self, edges)
 
     @property
     def edge_count(self) -> int:
@@ -201,6 +205,9 @@ class Graph(_Value):
         return order, parent_edge, parent_vertex, depth, nontree_ids
 
 
+_g_vertex_count, _g_edges = _setters(Graph)
+
+
 def build_graph(
     vertex_count: int, endpoint_pairs: list[tuple[VertexId, VertexId]]
 ) -> Graph:
@@ -223,12 +230,6 @@ def build_graph(
     return Graph(vertex_count, edges)  # type: ignore[arg-type]
 
 
-def _setters(cls) -> tuple:
-    """Each field slot's ``__set__``, in field order."""
-    # __init__ stores through these: past _Value.__setattr__, no by-name lookup
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-
 class BidirectedGraph(_Value):
     """A graph plus a sign on every half-edge (the bidirection).
 
@@ -237,8 +238,6 @@ class BidirectedGraph(_Value):
     """
 
     __slots__ = __match_args__ = ("graph", "beta")
-    graph: Graph
-    beta: tuple[tuple[Sign, Sign], ...]
 
     def __init__(self, graph: Graph, beta: tuple[tuple[Sign, Sign], ...]):
         if len(beta) != len(graph.edges):
@@ -254,8 +253,6 @@ class SignedGraph(_Value):
     """A graph plus a sign on every edge."""
 
     __slots__ = __match_args__ = ("graph", "sigma")
-    graph: Graph
-    sigma: tuple[Sign, ...]
 
     def __init__(self, graph: Graph, sigma: tuple[Sign, ...]):
         if len(sigma) != len(graph.edges):
@@ -272,8 +269,6 @@ class Di2SignedGraph(_Value):
     the reading direction.  Stored relative to the canonical orientation."""
 
     __slots__ = __match_args__ = ("graph", "labels")
-    graph: Graph
-    labels: tuple[tuple[Sign, Sign], ...]
 
     def __init__(self, graph: Graph, labels: tuple[tuple[Sign, Sign], ...]):
         if len(labels) != len(graph.edges):
@@ -290,9 +285,6 @@ class DnSignedGraph(_Value):
     sequence) with the reading direction."""
 
     __slots__ = __match_args__ = ("n", "graph", "labels")
-    n: int
-    graph: Graph
-    labels: tuple[tuple[Sign, ...], ...]
 
     def __init__(self, n: int, graph: Graph, labels: tuple[tuple[Sign, ...], ...]):
         if n < 1:

@@ -29,8 +29,6 @@ class GraphEnumeration(_Value):
     """Bounds for sweeping every labeled multigraph (not isomorphism-reduced)."""
 
     __slots__ = __match_args__ = ("max_vertices", "max_edges")
-    max_vertices: int
-    max_edges: int
 
     def __init__(self, max_vertices: int, max_edges: int):
         _ge_max_vertices(self, max_vertices)

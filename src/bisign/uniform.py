@@ -41,10 +41,6 @@ class UniformizationResult(_Value):
     associated signed graph."""
 
     __slots__ = __match_args__ = ("reorient_set", "uniform", "signature", "witness")
-    reorient_set: Optional[frozenset[EdgeId]]
-    uniform: Optional[BidirectedGraph]
-    signature: Optional[VertexSignature]
-    witness: Optional[CycleWitness]
 
     def __init__(
         self,

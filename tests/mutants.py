@@ -122,6 +122,13 @@ MUTANTS = (
         ["tests/test_cli.py::test_warm_calls_leave_no_cyclic_garbage"],
     ),
     (
+        "the argparser build leaves its cycles to the next collection",
+        "cli.py",
+        "    gc.collect(0)\n",
+        "",
+        ["tests/test_cli.py::test_first_call_leaves_no_cyclic_garbage"],
+    ),
+    (
         "run_command leaves the collector paused",
         "cli.py",
         "if collecting:\n            gc.enable()",

@@ -680,6 +680,21 @@ def test_warm_calls_leave_no_cyclic_garbage():
     assert run_command(["--help"]) == help_text
 
 
+def test_first_call_leaves_no_cyclic_garbage():
+    # the first call builds the parser with the collector paused: the build
+    # frees its own cycles, so none outlive the run
+    src = pathlib.Path(sys.modules["bisign.cli"].__file__).parents[1]
+    code = (
+        f"import gc, sys; sys.path.insert(0, {str(src)!r}); "
+        "from bisign.cli import run_command; gc.disable(); "
+        "print(run_command(['uniformize'], 'bidirected 2 1\\n0 1 + +\\n')[0], gc.collect())"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0 0\n"
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_run_command_restores_the_collector_state(collecting):
     was = gc.isenabled()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import tracemalloc
+import weakref
 from array import array
 from collections import deque
 
@@ -422,16 +423,25 @@ def test_value_types_compile_no_value_methods():
               "__getstate__", "__setstate__"}
     for cls, x in values.items():
         assert not shared & cls.__dict__.keys(), cls
-        assert "__init__" in cls.__dict__, cls
-        # the annotations give the fields' types, for the same names in order
-        assert tuple(cls.__annotations__) == cls.__match_args__, cls
-        if cls is Graph:
-            # the fields and the cached incidence / _forest live in __dict__
-            assert "__slots__" not in cls.__dict__ and hasattr(x, "__dict__")
-            continue
-        # one field list: the slots are the fields, in __match_args__ order
-        assert cls.__slots__ == cls.__match_args__, cls
-        assert not hasattr(x, "__dict__"), cls
+        # the constructor takes the fields in __match_args__ order, and its
+        # signature is the one place that gives their types
+        init = cls.__dict__["__init__"]
+        params = init.__code__.co_varnames[1:init.__code__.co_argcount]
+        assert params == tuple(init.__annotations__) == cls.__match_args__, cls
+        assert "__annotations__" not in cls.__dict__, cls
+        # one field list: the slots are the fields, and Graph's __dict__ slot
+        # holds only its cached incidence / _forest
+        extra = ("__dict__",) if cls is Graph else ()
+        assert cls.__dict__["__slots__"] == cls.__match_args__ + extra, cls
+        assert hasattr(x, "__dict__") == (cls is Graph), cls
+        with pytest.raises(TypeError):
+            weakref.ref(x)
+    g = build_graph(2, [(0, 1), (1, 1)])
+    assert vars(g) == {}
+    g.incidence
+    assert vars(g).keys() == {"incidence"}
+    g._forest
+    assert vars(g).keys() == {"incidence", "_forest"}
 
 
 def _forged(cls, state):

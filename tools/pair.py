@@ -21,7 +21,9 @@ in ``BENCHMARK.json``.  The row's ``change`` record names the checkout's
 commit, whether its tracked files differ from it, and what measured it:
 ``sys.version``, ``platform.machine()`` and ``os.cpu_count()``.  A row for
 another workload or seed already in the file is kept, so one file can
-gather several rows against one base.
+gather several rows against one base.  An ``--out-dir`` that is not a
+directory, or a ``BENCH_L.json`` there that compares against another base,
+exits 1 before the first run.
 
 With ``--pytest NODEID`` each run is instead
 ``python -m pytest -q -p no:cacheprovider NODEID`` in the tree, with
@@ -172,6 +174,16 @@ def main(argv=None) -> int:
         shown = [m["name"] for m in spec["end_to_end"]]
         key, seconds = (args.workload, args.seed), args.seconds
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
+    # a bad output file is found before the runs, not after them
+    if not args.out_dir.is_dir():
+        print(f"pair: {args.out_dir} is not a directory; nothing run", file=sys.stderr)
+        return 1
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    doc = json.loads(path.read_text()) if path.exists() else {"base": base_sha, "rows": []}
+    if doc["base"] != base_sha:
+        print(f"pair: {path} compares against {doc['base']}, not {base_sha}; "
+              "nothing run", file=sys.stderr)
+        return 1
     runs = []
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
         base_tree = Path(tmp)
@@ -191,16 +203,10 @@ def main(argv=None) -> int:
         print(f"pair: output digests differ: {sorted(digests)}; nothing written",
               file=sys.stderr)
         return 1
-    path = args.out_dir / f"BENCH_{args.label}.json"
     change = {"head": git("rev-parse", "HEAD"),
               "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
               "python": sys.version, "machine": platform.machine(),
               "cpus": os.cpu_count()}
-    doc = json.loads(path.read_text()) if path.exists() else {"base": base_sha, "rows": []}
-    if doc["base"] != base_sha:
-        print(f"pair: {path} compares against {doc['base']}, not {base_sha}; "
-              "nothing written", file=sys.stderr)
-        return 1
     row = {"workload": key[0], "seed": key[1], "seconds": seconds,
            "change": change,
            "command": command[1:], "output_sha256": digests.pop(),
