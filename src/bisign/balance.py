@@ -18,10 +18,6 @@ sigma(e)*mu(u)*mu(v) is therefore ``-``.  Loops and digons count as cycles
 of length 1 and 2.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
 from .core import MINUS, PLUS, EdgeId, Graph, Sign, SignedGraph, VertexId, _Value, _setters
 from .convert import negate_signed
 
@@ -69,8 +65,8 @@ class BalanceResult(_Value):
 
     def __init__(
         self,
-        signature: Optional[VertexSignature] = None,
-        witness: Optional[CycleWitness] = None,
+        signature: VertexSignature | None = None,
+        witness: CycleWitness | None = None,
     ):
         _br_signature(self, signature)
         _br_witness(self, witness)

@@ -27,17 +27,15 @@ certificate block (``signature`` / ``bipartition`` / ``witness`` /
 usage or parse errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import io
 import re
 import sys
+from collections.abc import Iterable
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Iterable, Optional, TextIO, Union
 
 from .core import (
     BidirectedGraph,
@@ -65,7 +63,7 @@ from .balance import (
 from .uniform import uniformize
 from .generate import random_bidirected
 
-Overlay = Union[SignedGraph, BidirectedGraph, Di2SignedGraph, DnSignedGraph]
+Overlay = SignedGraph | BidirectedGraph | Di2SignedGraph | DnSignedGraph
 
 # document kind (the header's first token) -> overlay type, and back
 OVERLAYS = {
@@ -229,7 +227,7 @@ class _SignTuples(dict):
         return signs
 
 
-def _parse_bulk(text: str, pos: int) -> tuple[Optional[Overlay], int]:
+def _parse_bulk(text: str, pos: int) -> tuple[Overlay | None, int]:
     """The document at ``text[pos:]`` and the index where its edge lines stop
     matching; or, where the document has an error, None and how many of its
     edge lines are known to be valid.  The edge lines are matched and split a
@@ -369,13 +367,13 @@ def _signature_line(mu: tuple[Sign, ...]) -> str:
     return _joined(["signature" if mu else "signature "], map(_SPACED_SIGN.__getitem__, mu), ["\n"])
 
 
-def _write_failure(out: TextIO, positive_word: str, witness: CycleWitness) -> int:
+def _write_failure(out: io.StringIO, positive_word: str, witness: CycleWitness) -> int:
     head = f"not-{positive_word}\nwitness {witness.sign}"
     out.write(_joined([head], (f" {e}" for e in witness.edges), ["\n"]))
     return 1
 
 
-def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> int:
+def _balance_certificate(r: BalanceResult, positive_word: str, out: io.StringIO) -> int:
     if not r.holds:
         return _write_failure(out, positive_word, r.witness)
     out.write(positive_word + "\n")
@@ -388,15 +386,15 @@ def _balance_certificate(r: BalanceResult, positive_word: str, out: TextIO) -> i
     return 0
 
 
-def _run_balance(s: SignedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+def _run_balance(s: SignedGraph, ns: argparse.Namespace, out: io.StringIO) -> int:
     return _balance_certificate(is_balanced(s), "balanced", out)
 
 
-def _run_antibalance(s: SignedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+def _run_antibalance(s: SignedGraph, ns: argparse.Namespace, out: io.StringIO) -> int:
     return _balance_certificate(is_antibalanced(s), "antibalanced", out)
 
 
-def _read_input(path: Optional[str], stdin_text: Optional[str]) -> str:
+def _read_input(path: str | None, stdin_text: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read() if stdin_text is None else stdin_text
     with open(path, "r", encoding="utf-8") as fh:
@@ -414,7 +412,7 @@ _CONVERSIONS = {
 }
 
 
-def _run_convert(x: Overlay, ns: argparse.Namespace, out: TextIO) -> int:
+def _run_convert(x: Overlay, ns: argparse.Namespace, out: io.StringIO) -> int:
     kind = _KIND[type(x)]
     if (kind, ns.to) not in _CONVERSIONS:
         raise ValueError(f"cannot convert {kind} to {ns.to}")
@@ -422,7 +420,7 @@ def _run_convert(x: Overlay, ns: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: io.StringIO) -> int:
     r = uniformize(b)
     if not r.holds:
         return _write_failure(out, "uniformizable", r.witness)
@@ -436,7 +434,7 @@ def _run_uniformize(b: BidirectedGraph, ns: argparse.Namespace, out: TextIO) -> 
     return 0
 
 
-def _run_decompose(d: DnSignedGraph, ns: argparse.Namespace, out: TextIO) -> int:
+def _run_decompose(d: DnSignedGraph, ns: argparse.Namespace, out: io.StringIO) -> int:
     dec = decompose_dn(d)
     for b in dec.bidirections:
         out.write(serialize(b))
@@ -445,12 +443,12 @@ def _run_decompose(d: DnSignedGraph, ns: argparse.Namespace, out: TextIO) -> int
     return 0
 
 
-def _run_export_dot(x: Overlay, ns: argparse.Namespace, out: TextIO) -> int:
+def _run_export_dot(x: Overlay, ns: argparse.Namespace, out: io.StringIO) -> int:
     out.write(export_dot(x))
     return 0
 
 
-def _run_compose(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO) -> int:
+def _run_compose(ns: argparse.Namespace, stdin_text: str | None, out: io.StringIO) -> int:
     docs = parse_documents(_read_input(ns.file, stdin_text))
     if not docs:
         raise ValueError("compose needs at least one document")
@@ -466,7 +464,7 @@ def _run_compose(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO)
     return 0
 
 
-def _run_random(ns: argparse.Namespace, stdin_text: Optional[str], out: TextIO) -> int:
+def _run_random(ns: argparse.Namespace, stdin_text: str | None, out: io.StringIO) -> int:
     # write only what parse takes back
     if ns.vertices > MAX_VERTICES:
         raise ValueError(f"vertex count {_digits(ns.vertices)} exceeds the limit {MAX_VERTICES}")
@@ -518,9 +516,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def run_command(
-    argv: list[str], stdin_text: Optional[str] = None
-) -> tuple[int, str, str]:
+def run_command(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, str]:
     """Run one CLI invocation against string streams.
 
     Returns (exit code, stdout, stderr); exit 0 = property holds or the
@@ -542,7 +538,7 @@ def run_command(
             gc.enable()
 
 
-def _dispatch(argv: list[str], stdin_text: Optional[str], out: io.StringIO,
+def _dispatch(argv: list[str], stdin_text: str | None, out: io.StringIO,
               err: io.StringIO) -> int:
     """``run_command``'s exit code, with the command's output written."""
     ap = _build_argparser()
@@ -567,7 +563,7 @@ def _dispatch(argv: list[str], stdin_text: Optional[str], out: io.StringIO,
         return 2
 
 
-def main(argv: Optional[list[str]] = None) -> None:
+def main(argv: list[str] | None = None) -> None:
     code, out, err = run_command(list(sys.argv[1:] if argv is None else argv))
     sys.stdout.write(out)
     sys.stderr.write(err)

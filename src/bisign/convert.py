@@ -6,10 +6,6 @@ signed graph, and the split of an n-tuple labeling into its component
 bidirections plus an optional center sign.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
 from .core import (
     MINUS,
     PLUS,
@@ -69,7 +65,7 @@ class DnDecomposition(_Value):
 
     __slots__ = __match_args__ = ("bidirections", "center")
 
-    def __init__(self, bidirections: tuple[BidirectedGraph, ...], center: Optional[SignedGraph]):
+    def __init__(self, bidirections: tuple[BidirectedGraph, ...], center: SignedGraph | None):
         _dd_bidirections(self, bidirections)
         _dd_center(self, center)
 

@@ -1,8 +1,6 @@
 """Seeded pseudorandom bidirected multigraphs for the CLI's ``random``
 command and the tests' random corpora."""
 
-from __future__ import annotations
-
 from .core import MINUS, PLUS, BidirectedGraph, Sign, build_graph
 
 

@@ -8,11 +8,9 @@ of them at once as the bits of one integer, answering with the lowest
 subset that works.  Only the plain data types from ``core`` are shared.
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Optional
 
 from .core import (
     PLUS,
@@ -52,7 +50,7 @@ def enumerate_multigraphs(spec: GraphEnumeration) -> Iterator[Graph]:
                 yield Graph(n, combo)
 
 
-def _cycle(g: Graph, edges: tuple[EdgeId, ...]) -> Optional[tuple[EdgeId, ...]]:
+def _cycle(g: Graph, edges: tuple[EdgeId, ...]) -> tuple[EdgeId, ...] | None:
     """The increasing edge subset as a closed walk, or None when it is not
     one cycle.
 
@@ -140,7 +138,7 @@ def _subset_tables(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 _MAX_EDGES = 20
 
 
-def uniformizable_by_enumeration(b: BidirectedGraph) -> Optional[frozenset[EdgeId]]:
+def uniformizable_by_enumeration(b: BidirectedGraph) -> frozenset[EdgeId] | None:
     """Try every reorientation subset; return the lowest one that makes
     every vertex a source, sink, or isolated, or None.
 

@@ -8,11 +8,9 @@ edge subset exactly when its associated signed graph is antibalanced; the
 antibalance signature directly builds the uniform graph.
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterable
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Optional
 
 from .core import MINUS, PLUS, BidirectedGraph, EdgeId, Sign, VertexId, _Value, _setters
 from .convert import associated_signed
@@ -44,10 +42,10 @@ class UniformizationResult(_Value):
 
     def __init__(
         self,
-        reorient_set: Optional[frozenset[EdgeId]] = None,
-        uniform: Optional[BidirectedGraph] = None,
-        signature: Optional[VertexSignature] = None,
-        witness: Optional[CycleWitness] = None,
+        reorient_set: frozenset[EdgeId] | None = None,
+        uniform: BidirectedGraph | None = None,
+        signature: VertexSignature | None = None,
+        witness: CycleWitness | None = None,
     ):
         _ur_reorient_set(self, reorient_set)
         _ur_uniform(self, uniform)

@@ -211,6 +211,20 @@ MUTANTS = (
         # the assertion fails in a worker process and is raised again in the parent
         ["tests/test_acceptance.py::test_criterion_4_theorem2_exhaustive"],
     ),
+    (
+        "build_graph takes endpoints that are not ints",
+        "core.py",
+        "set(map(type, ends)) != {int}\n        or ",
+        "",
+        ["tests/test_core.py::test_build_rejects_endpoints_that_are_not_ints"],
+    ),
+    (
+        "balance imports typing again",
+        "balance.py",
+        "from .core import MINUS, PLUS,",
+        "from typing import Optional\nfrom .core import MINUS, PLUS,",
+        ["tests/test_cli.py::test_site_less_import_loads_no_typing"],
+    ),
 )
 
 

@@ -1052,18 +1052,32 @@ def test_cli_does_not_load_the_oracle():
     assert done.stdout == "False\n"
 
 
-def test_import_loads_no_dataclasses_or_inspect():
-    # the value types are plain slotted classes: importing the library and
-    # its CLI in a fresh interpreter loads neither module
+def _loaded_by_import(*flags):
+    """Which of typing, __future__, dataclasses and inspect a fresh interpreter,
+    run with ``flags``, has loaded after importing the library and its CLI."""
     src = pathlib.Path(sys.modules["bisign.cli"].__file__).parents[1]
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import bisign, bisign.cli; "
-        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+        "print(*[m for m in ('typing', '__future__', 'dataclasses', 'inspect') "
+        "if m in sys.modules])"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False False\n"
+    return done.stdout.split()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the value types are plain slotted classes: importing the library and
+    # its CLI in a fresh interpreter loads neither module
+    loaded = _loaded_by_import("-I")
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_site_less_import_loads_no_typing():
+    # annotations are written in built-in syntax; without site, whose start-up
+    # hooks may load typing first, the import loads none of the four modules
+    assert _loaded_by_import("-I", "-S") == []
 
 
 def test_module_run_is_the_command(tmp_path):

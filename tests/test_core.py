@@ -232,6 +232,19 @@ def test_build_rejects_out_of_range():
         build_graph(2, [(0, 1)]).endpoints(5)
 
 
+@pytest.mark.parametrize("pairs, shown", [
+    ([(0, 1.0)], r"edge 0 endpoint is not an int: \(0, 1\.0\)"),
+    # a bool is an int subclass, and would serialize as True / False
+    ([(0, True)], r"edge 0 endpoint is not an int: \(0, True\)"),
+    ([(0, 1), (False, 1)], r"edge 1 endpoint is not an int: \(False, 1\)"),
+    # not comparable with an int: refused before the range check compares it
+    ([(0, 1), ("1", 0)], r"edge 1 endpoint is not an int: \('1', 0\)"),
+], ids=["float", "bool", "later-bool", "str"])
+def test_build_rejects_endpoints_that_are_not_ints(pairs, shown):
+    with pytest.raises(ValueError, match=f"^{shown}$"):
+        build_graph(2, pairs)
+
+
 def test_incident_half_edges_cases():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     assert len(g.incidence[0]) == 2
