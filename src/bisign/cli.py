@@ -33,9 +33,9 @@ import io
 import re
 import sys
 from collections.abc import Iterable
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 
 from .core import (
     BidirectedGraph,
@@ -150,9 +150,9 @@ def _rows(text: str) -> list[tuple[int, str]]:
     return [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
 
 
-def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> int:
+def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> None:
     """Raise the first error of the document headed by ``rows[at]``, past its
-    first ``skip`` edge lines; else return the index of the row after it."""
+    first ``skip`` edge lines; a document the bulk parser declined has one."""
     if at == len(rows):
         # only an input without a non-blank line ends before a header
         raise ParseError(1, 1, "unexpected end of input")
@@ -193,10 +193,8 @@ def _check_one(rows: list[tuple[int, str]], at: int, skip: int = 0) -> int:
             _sign_token(lineno, line, tokens, i)
         if len(tokens) > end:
             raise _fail(lineno, line, end, "trailing tokens on edge line")
-    if at + ecount >= len(rows):
-        # the document runs to the last non-blank line: the header's, or an edge's
-        raise ParseError(rows[-1][0], 1, "unexpected end of input")
-    return at + 1 + ecount
+    # the document runs to the last non-blank line: the header's, or an edge's
+    raise ParseError(rows[-1][0], 1, "unexpected end of input")
 
 
 def _overlay(kind: str, n: int, vcount: int, pairs: list, labels: list) -> Overlay:
@@ -214,7 +212,7 @@ _HEADER = (
     r"[ \t\r\n]*(?:(signed|bidirected|di2)|dn[ \t]+([0-9]+))[ \t]+([0-9]+)[ \t]+([0-9]+)"
     r"[ \t]*(?:[\r\n][ \t\r\n]*|\Z)"
 )
-_EDGES = r"(?:{0}[\r\n][ \t\r\n]*){{0,{1}}}(?:{0}\Z)?"
+_EDGES = r"(?:{0}(?:[\r\n][ \t\r\n]*|\Z)){{0,{1}}}"
 # tokens per chunk of edge lines: 4,096 of the benchmark's lines, about 64 KiB
 _CHUNK = 16384
 
@@ -228,28 +226,28 @@ class _SignTuples(dict):
 
 
 def _parse_bulk(text: str, pos: int) -> tuple[Overlay | None, int]:
-    """The document at ``text[pos:]`` and the index where its edge lines stop
-    matching; or, where the document has an error, None and how many of its
-    edge lines are known to be valid.  The edge lines are matched and split a
-    chunk at a time, so the token lists stay small."""
+    """The document at ``text[pos:]`` and the index where its edge lines end;
+    or, where it has an error, None and how many of its edge lines are known
+    to be valid.  The edge lines are matched and split a chunk at a time, up
+    to the header's edge count, so the token lists stay small."""
     head = re.compile(_HEADER).match(text, pos)
     if head is None:
         return None, 0
     kind = head[1] or "dn"
-    try:  # int() past its digit limit, or build_graph on an endpoint out of range
+    try:  # int() past its digit limit
         n, vcount, ecount = int(head[2] or 0), int(head[3]), int(head[4])
         if vcount > MAX_VERTICES or (kind == "dn" and not 1 <= n <= MAX_TUPLE_LENGTH):
             return None, 0
         width = 2 + _SIGN_COUNT.get(kind, n)
         line = r"[0-9]+[ \t]+[0-9]+" + r"[ \t]+[+-]" * (width - 2) + r"[ \t]*"
         chunk = _CHUNK // width
-        edges = re.compile(_EDGES.format(line, chunk))
         pairs: list[tuple[int, int]] = []
         labels: list = []
         tuples = _SignTuples()
         pos = head.end()
         while True:
-            stop = edges.match(text, pos).end()
+            rows = min(chunk, ecount - len(pairs))
+            stop = re.compile(_EDGES.format(line, rows)).match(text, pos).end()
             tokens = text[pos:stop].split()
             pairs += zip(map(int, tokens[0::width]), map(int, tokens[1::width]))
             if kind == "signed":
@@ -257,32 +255,32 @@ def _parse_bulk(text: str, pos: int) -> tuple[Overlay | None, int]:
             else:
                 labels += map(tuples.__getitem__, zip(*[tokens[i::width] for i in range(2, width)]))
             pos = stop
-            if len(tokens) != chunk * width:  # the edge lines stopped matching
+            if len(tokens) != chunk * width:  # stopped matching, or reached the edge count
                 break
-        if len(pairs) != ecount:
-            # the matched lines are valid where their endpoints are in range
-            return None, len(pairs) if max(map(max, pairs), default=0) < vcount else 0
-        return _overlay(kind, n, vcount, pairs, labels), pos
     except ValueError:
         return None, 0
+    if len(pairs) == ecount:
+        with suppress(ValueError):  # build_graph on an endpoint out of range
+            return _overlay(kind, n, vcount, pairs, labels), pos
+    # the matched lines are valid up to the first endpoint out of range
+    return None, len(list(takewhile(vcount.__gt__, map(max, pairs))))
 
 
 def _parse_stream(text: str, limit: int) -> list[Overlay]:
     """Up to ``limit`` documents of a text, and no input after them.  Each is
-    parsed in bulk from where the previous one's edge lines stop matching.  The
-    line checker reads on from the first document the bulk parser declines, at
-    row ``at``: each document before it took 1 + edge_count non-blank rows."""
+    parsed in bulk from where the previous one's edge lines end.  The line
+    checker raises the error of the first document the bulk parser declines,
+    at row ``at``: each document before it took 1 + edge_count non-blank rows."""
     docs: list[Overlay] = []
     at = 0
     pos = re.compile(r"[ \t\r\n]*").match(text).end()
     while pos < len(text):
-        doc, pos = _parse_bulk(text, pos) if len(docs) < limit else (None, 0)
-        if doc is None:  # pos is how many edge lines the checker may skip
-            rows = _rows(text)
-            for _ in range(limit - len(docs)):
-                at, pos = _check_one(rows, at, pos), 0
-            lineno, line = rows[at]
+        if len(docs) == limit:
+            lineno, line = _rows(text)[at]
             raise _fail(lineno, line, 0, "trailing input after document")
+        doc, pos = _parse_bulk(text, pos)
+        if doc is None:  # raises; pos is how many edge lines the checker may skip
+            _check_one(_rows(text), at, pos)
         docs.append(doc)
         at += 1 + doc.graph.edge_count
     return docs

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LINE_ROWS = "tests/test_cli.py::test_parse_errors_carry_line_numbers"
 NEAR_CANONICAL = "tests/test_cli.py::test_bulk_parse_declines_near_canonical"
+UNMATCHED_ROWS = "tests/test_cli.py::test_line_checker_reads_only_the_unmatched_rows"
 
 # (name, file under src/bisign, snippet, replacement, tests that must catch it)
 MUTANTS = (
@@ -59,16 +60,30 @@ MUTANTS = (
     (
         "the bulk parser does not check the edge count",
         "cli.py",
-        "if len(pairs) != ecount:",
-        "if False:",
+        "if len(pairs) == ecount:",
+        "if True:",
         [NEAR_CANONICAL],
     ),
     (
         "the checker skips matched lines with an endpoint out of range",
         "cli.py",
-        " if max(map(max, pairs), default=0) < vcount else 0",
-        "",
+        "len(list(takewhile(vcount.__gt__, map(max, pairs))))",
+        "len(pairs)",
         [NEAR_CANONICAL],
+    ),
+    (
+        "the bulk edge lines are not capped at the header's edge count",
+        "cli.py",
+        "rows = min(chunk, ecount - len(pairs))",
+        "rows = chunk",
+        [NEAR_CANONICAL + r"[bidirected 3 2\n0 1 + -\n1 2 - +\n2 0 + +\n-error7]"],
+    ),
+    (
+        "a full document with an endpoint out of range vouches for no line",
+        "cli.py",
+        "            return _overlay(kind, n, vcount, pairs, labels), pos\n",
+        "            return _overlay(kind, n, vcount, pairs, labels), pos\n        return None, 0\n",
+        [UNMATCHED_ROWS + "[parse-last-endpoint]", UNMATCHED_ROWS + "[stream-last-endpoint]"],
     ),
     (
         "the forest scans each vertex's half-edges in reverse",
@@ -103,15 +118,15 @@ MUTANTS = (
     (
         r"the bulk edge lines have no \Z tail",
         "cli.py",
-        r"(?:{0}\Z)?",
-        r"(?:{0})?",
-        [NEAR_CANONICAL + r"[bidirected 3 2\n0 1 + -\n1 2 - +x-error14]"],
+        r"|\Z)){{0,",
+        r")){{0,",
+        [NEAR_CANONICAL + r"[bidirected 3 2\n0 1 + -\n1 2 - +-None]"],
     ),
     (
         "the bulk chunk repeat is one line short",
         "cli.py",
-        "_EDGES.format(line, chunk)",
-        "_EDGES.format(line, chunk - 1)",
+        "_EDGES.format(line, rows)",
+        "_EDGES.format(line, rows - 1)",
         ["tests/test_cli.py::test_bulk_parse_chunk_boundaries"],
     ),
     (

@@ -455,6 +455,12 @@ def test_bulk_parse_declines_near_canonical(text, error):
     assert str(e.value) == f"line {line}, column {column}: {message}"
 
 
+def test_bulk_parse_stops_at_the_declared_edge_count():
+    # a valid edge line past the header's edge count is not read as the
+    # document's: the document ends before it
+    assert _parse_bulk(_CANON + "2 0 + +\n", 0) == (parse(_CANON), len(_CANON))
+
+
 @pytest.mark.parametrize("text,error", [
     (f"signed 2 1\n0 {'7' * 5000} +\n",
      (2, 3, f"endpoint must be a nonnegative integer, got '{'7' * 20}'...")),
@@ -500,17 +506,23 @@ _BIG = serialize(random_bidirected(5000, 10000, True, True, 3))
 
 
 _LAST_ROW = _BIG.rindex("\n", 0, -1) + 1
+# _BIG with the second endpoint of its last edge line ("3029 2839 + +") out of range
+_BIG_FAR = _BIG[:_LAST_ROW] + re.sub(" [0-9]+", " 5000", _BIG[_LAST_ROW:], count=1)
+_FAR = (10001, 6, "vertex 5000 out of range (< 5000)")
 
 
 @pytest.mark.parametrize("parse_text,reference,text,error", [
     (parse, _parse_line_by_line, _BIG[:-2] + "x\n", (10001, 13, "sign must be + or -, got 'x'")),
     (parse, _parse_line_by_line, _BIG[:_LAST_ROW], (10000, 1, "unexpected end of input")),
     (parse, _parse_line_by_line, _BIG + "0 1 + +\n", (10002, 1, "trailing input after document")),
+    (parse, _parse_line_by_line, _BIG_FAR, _FAR),
     (parse_documents, _parse_lines, _BIG[:-2] + "x\n", (10001, 13, "sign must be + or -, got 'x'")),
     (parse_documents, _parse_lines, _BIG[:_LAST_ROW], (10000, 1, "unexpected end of input")),
     (parse_documents, _parse_lines, _BIG + "0 1 + +\n", (10002, 1, "unknown kind '0'")),
-], ids=["parse-last-sign", "parse-one-edge-short", "parse-one-edge-extra",
-        "stream-last-sign", "stream-one-edge-short", "stream-one-edge-extra"])
+    (parse_documents, _parse_lines, _BIG_FAR, _FAR),
+], ids=["parse-last-sign", "parse-one-edge-short", "parse-one-edge-extra", "parse-last-endpoint",
+        "stream-last-sign", "stream-one-edge-short", "stream-one-edge-extra",
+        "stream-last-endpoint"])
 def test_line_checker_reads_only_the_unmatched_rows(parse_text, reference, text, error):
     # on an error at the end of a 10,000-edge document, the line checker splits
     # the text into rows once and tokenizes only the header's counts and at
